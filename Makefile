@@ -6,7 +6,7 @@ GO ?= go
 # BENCH_<n>.json when invoked without -baseline.
 BENCH_BASELINE ?= BENCH_10.json
 
-.PHONY: all build test race bench bench-kernels bench-json bench-check vet chaos resume smoke serve-smoke ingest-smoke shard-smoke
+.PHONY: all build test race bench bench-kernels bench-json bench-check bench-harness vet chaos resume smoke serve-smoke ingest-smoke shard-smoke
 
 all: build test
 
@@ -58,6 +58,14 @@ bench-json:
 bench-check:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./... | $(GO) run ./cmd/benchjson -out bench_current.json
 	$(GO) run ./cmd/benchjson -compare -baseline $(BENCH_BASELINE) -current bench_current.json -threshold 0.20
+
+# bench-harness vets and self-tests the end-to-end benchmark harness.
+# perfbench/ is its own Go module (it imports this one through a
+# replace), so the root `go build ./...` never compiles it: without this
+# target, removing an API the benchmark calls would only surface at the
+# next benchmark run.
+bench-harness:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # smoke builds and runs the quickstart example end to end — the fastest
 # whole-pipeline sanity check (graph build, encoders, LP, SAGE, eval).

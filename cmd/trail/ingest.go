@@ -54,7 +54,6 @@ func cmdIngest(args []string) error {
 	transient := fs2.Float64("transient", 0, "transient enrichment-failure rate (absorbed by retries)")
 	repair := fs2.Duration("repair", 5*time.Second, "degraded-node repair interval (<=0 disables the catch-up loop)")
 	staleAfter := fs2.Duration("stale-after", 0, "report /healthz degraded (503) when the served snapshot is older than this (0 disables)")
-	csrRebuild := fs2.Bool("csr-rebuild", false, "rebuild the CSR adjacency from scratch at every cut instead of patching it incrementally (A/B lever)")
 	fs2.Parse(args)
 
 	logf := func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
@@ -128,7 +127,6 @@ func cmdIngest(args []string) error {
 		PublishEvery:   *publishEvery,
 		FlushInterval:  *flush,
 		RepairInterval: *repair,
-		CSRRebuild:     *csrRebuild,
 		Metrics:        reg,
 		Logf:           logf,
 	}

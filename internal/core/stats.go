@@ -151,7 +151,7 @@ type ConnectivityStats struct {
 // BFS and runs one BFS per event for the proximity statistic, so cost is
 // bounded by events * (V+E).
 func (t *TKG) Connectivity() ConnectivityStats {
-	adj := t.G.Adjacency()
+	adj := t.G.CSR()
 	var cs ConnectivityStats
 
 	_, sizes := graph.ConnectedComponents(adj)

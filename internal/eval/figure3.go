@@ -62,8 +62,7 @@ func RunFigure3(ctx *Context, aptName string) (*Figure3Result, error) {
 	if target < 0 {
 		return nil, fmt.Errorf("eval: no %s events in the TKG", aptName)
 	}
-	adj := ctx.TKG.G.Adjacency()
-	net := ctx.TKG.G.Ego(adj, target, 2)
+	net := ctx.TKG.G.Ego(ctx.TKG.G.CSR(), target, 2)
 
 	res := &Figure3Result{
 		Event:  ctx.TKG.G.Node(target).Key,

@@ -129,8 +129,7 @@ func RunCaseStudy(ctx *Context) (*CaseStudyResult, error) {
 		EventsAt3Hops: map[string]int{},
 	}
 
-	adj := tkg.G.Adjacency()
-	dist := graph.BFSDistances(adj, evID, 3)
+	dist := graph.BFSDistances(tkg.G.CSR(), evID, 3)
 	for id, d := range dist {
 		if d <= 0 {
 			continue

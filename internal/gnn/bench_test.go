@@ -49,7 +49,6 @@ func benchInput(classes, eventsPerClass, iocsPerClass, encDim int) (Input, []gra
 		copy(enc.Row(i), row)
 	}
 	in := Input{
-		Adj:     g.Adjacency(),
 		CSR:     g.CSR(),
 		Enc:     enc,
 		IsEvent: make([]bool, g.NumNodes()),

@@ -180,7 +180,6 @@ func (s *EncoderSetOf[T]) EncodeGraph(g *graph.Graph, feats map[graph.NodeID][]f
 func BuildInput[T mat.Float](g *graph.Graph, feats map[graph.NodeID][]float64, set *EncoderSetOf[T], classes int) InputOf[T] {
 	n := g.NumNodes()
 	in := InputOf[T]{
-		Adj:     g.Adjacency(),
 		CSR:     sparse.Cast[T](g.CSR()),
 		Enc:     set.EncodeGraph(g, feats),
 		IsEvent: make([]bool, n),

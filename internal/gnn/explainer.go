@@ -59,8 +59,9 @@ func (m *ModelOf[T]) Explain(in InputOf[T], visible map[graph.NodeID]int, target
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// L-hop subgraph around the target.
-	dist := graph.BFSDistances(in.Adj, target, m.Config.Layers)
-	inSub := make([]bool, len(in.Adj))
+	adj := in.CSR
+	dist := graph.BFSDistances(adj, target, m.Config.Layers)
+	inSub := make([]bool, adj.Rows)
 	for id, d := range dist {
 		if d >= 0 {
 			inSub[id] = true
@@ -70,13 +71,14 @@ func (m *ModelOf[T]) Explain(in InputOf[T], visible map[graph.NodeID]int, target
 	type edgeKey struct{ a, b graph.NodeID }
 	edgeIdx := make(map[edgeKey]int)
 	var edges []edgeKey
-	subAdj := make([][]graph.NodeID, len(in.Adj))
-	adjEdge := make([][]int, len(in.Adj)) // parallel edge indexes
-	for u := range in.Adj {
+	subAdj := make([][]graph.NodeID, adj.Rows)
+	adjEdge := make([][]int, adj.Rows) // parallel edge indexes
+	for u := range subAdj {
 		if !inSub[u] {
 			continue
 		}
-		for _, v := range in.Adj[u] {
+		for _, c := range adj.ColIdx[adj.RowPtr[u]:adj.End(u)] {
+			v := graph.NodeID(c)
 			if !inSub[v] {
 				continue
 			}

@@ -50,7 +50,7 @@ func TestExplainerWeightsAndRanking(t *testing.T) {
 	}
 	// Every explained edge must lie within the target's L-hop
 	// neighbourhood.
-	dist := graph.BFSDistances(in.Adj, target, m.Config.Layers)
+	dist := graph.BFSDistances(in.CSR, target, m.Config.Layers)
 	for _, e := range exp.Edges {
 		if dist[e[0]] < 0 || dist[e[1]] < 0 {
 			t.Fatalf("edge %v outside the %d-hop subgraph", e, m.Config.Layers)

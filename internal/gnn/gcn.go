@@ -80,7 +80,7 @@ func (g *GCNOf[T]) params() []*ml.ParamOf[T] {
 // snapshot; forward and backward are then plain SpMM calls (the adjoint
 // of the symmetric S is S itself).
 func gcnOperator[T mat.Float](in InputOf[T]) *sparse.CSR[T] {
-	return inputCSR(in).SymNormalizedWithSelfLoops()
+	return in.CSR.SymNormalizedWithSelfLoops()
 }
 
 // CloneGCN deep-copies the model (weights and config), mirroring
@@ -335,7 +335,7 @@ func (g *GCNOf[T]) Predict(in InputOf[T], visible map[graph.NodeID]int, queries 
 		inputs: make([]*mat.Dense[T], len(g.layers)),
 		masks:  make([]*mat.Dense[T], len(g.layers)),
 	}
-	rs, perm := inputCSR(in).Reordered()
+	rs, perm := in.CSR.Reordered()
 	g.forward(in, rs.SymNormalizedWithSelfLoops(), perm, visible, ws, &acts)
 	out := make([]int, len(queries))
 	for i, q := range queries {

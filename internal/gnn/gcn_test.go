@@ -40,7 +40,7 @@ func TestGCNTrainErrors(t *testing.T) {
 		t.Fatal("expected error with no training events")
 	}
 	bad := in
-	bad.Enc = mat.New(len(in.Adj), 5)
+	bad.Enc = mat.New(in.CSR.Rows, 5)
 	if _, err := TrainGCN(bad, byClass[0], Config{Layers: 2, Encoding: 16}); err == nil {
 		t.Fatal("expected error on encoding width mismatch")
 	}
@@ -57,7 +57,7 @@ func TestGCNPropagationIsSymmetric(t *testing.T) {
 	g.AddEdge(2, 3, graph.EdgeARecord)
 	g.AddEdge(0, 4, graph.EdgeARecord)
 	g.AddEdge(4, 5, graph.EdgeARecord)
-	s := gcnOperator(Input{Adj: g.Adjacency(), CSR: g.CSR()})
+	s := gcnOperator(Input{CSR: g.CSR()})
 
 	x := mat.RandNormal(newRng(3), 7, 3, 0, 1)
 	y := mat.RandNormal(newRng(4), 7, 3, 0, 1)
@@ -81,7 +81,7 @@ func TestGCNPropPreservesConstantVector(t *testing.T) {
 	for i := 0; i < n; i++ {
 		g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n), graph.EdgeARecord)
 	}
-	s := gcnOperator(Input{Adj: g.Adjacency(), CSR: g.CSR()})
+	s := gcnOperator(Input{CSR: g.CSR()})
 	x := mat.New(n, 1)
 	x.Fill(1)
 	out := s.Mul(x)

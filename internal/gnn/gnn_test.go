@@ -9,6 +9,7 @@ import (
 	"trail/internal/graph"
 	"trail/internal/mat"
 	"trail/internal/ml"
+	"trail/internal/sparse"
 )
 
 func TestAutoencoderReconstructs(t *testing.T) {
@@ -98,7 +99,7 @@ func buildToyAttributionGraph(t *testing.T, classes, eventsPerClass, iocsPerClas
 	}
 
 	in := Input{
-		Adj:     g.Adjacency(),
+		CSR:     g.CSR(),
 		Enc:     enc,
 		IsEvent: make([]bool, g.NumNodes()),
 		Labels:  make([]int, g.NumNodes()),
@@ -172,7 +173,7 @@ func TestSAGETrainErrors(t *testing.T) {
 		t.Fatal("expected error with no training events")
 	}
 	bad := in
-	bad.Enc = mat.New(len(in.Adj), 7) // wrong width
+	bad.Enc = mat.New(in.CSR.Rows, 7) // wrong width
 	if _, err := Train(bad, byClass[0], Config{Layers: 2, Encoding: 16}); err == nil {
 		t.Fatal("expected error on encoding width mismatch")
 	}
@@ -218,7 +219,7 @@ func TestNeighborMeanTransposeIsAdjoint(t *testing.T) {
 		u, v := graph.NodeID(rng.Intn(6)), graph.NodeID(rng.Intn(6))
 		g.AddEdge(u, v, graph.EdgeInReport)
 	}
-	mean := meanOperator(Input{Adj: g.Adjacency(), CSR: g.CSR()})
+	mean := meanOperator(Input{CSR: g.CSR()})
 	x := mat.RandNormal(rng, 6, 4, 0, 1)
 	y := mat.RandNormal(rng, 6, 4, 0, 1)
 	ax := mean.Mul(x)
@@ -232,19 +233,20 @@ func TestNeighborMeanTransposeIsAdjoint(t *testing.T) {
 
 func TestSampleAdjCaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	adj := [][]graph.NodeID{{1, 2, 3, 4, 5}, {0}, {0}, {0}, {0}, {0}}
+	adj := sparse.FromAdj([][]graph.NodeID{{1, 2, 3, 4, 5}, {0}, {0}, {0}, {0}, {0}})
 	s := sampleAdj(rng, adj, 2)
-	if len(s[0]) != 2 {
-		t.Fatalf("cap not applied: %d", len(s[0]))
+	row := func(i int) []int32 { return s.ColIdx[s.RowPtr[i]:s.End(i)] }
+	if len(row(0)) != 2 {
+		t.Fatalf("cap not applied: %d", len(row(0)))
 	}
-	seen := map[graph.NodeID]bool{}
-	for _, v := range s[0] {
+	seen := map[int32]bool{}
+	for _, v := range row(0) {
 		if seen[v] {
 			t.Fatal("sampled with replacement")
 		}
 		seen[v] = true
 	}
-	if len(s[1]) != 1 {
+	if len(row(1)) != 1 {
 		t.Fatal("small lists must be untouched")
 	}
 }

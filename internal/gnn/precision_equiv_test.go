@@ -184,7 +184,7 @@ func TestSAGEInferenceReorderedBitIdentical(t *testing.T) {
 	orig := sparse.ReorderMinRows
 	defer func() { sparse.ReorderMinRows = orig }()
 
-	sparse.ReorderMinRows = len(in.Adj) + 1
+	sparse.ReorderMinRows = in.CSR.Rows + 1
 	if _, p := inferOperator(in); p != nil {
 		t.Fatal("reordering unexpectedly active below the gate")
 	}
@@ -228,7 +228,7 @@ func TestGCNPredictReorderedBitIdentical(t *testing.T) {
 	}
 	orig := sparse.ReorderMinRows
 	defer func() { sparse.ReorderMinRows = orig }()
-	sparse.ReorderMinRows = len(in.Adj) + 1
+	sparse.ReorderMinRows = in.CSR.Rows + 1
 	want := g.Predict(in, visible, queries)
 	sparse.ReorderMinRows = 1
 	got := g.Predict(in, visible, queries)

@@ -14,15 +14,13 @@ import (
 )
 
 // InputOf is the full-graph tensor view the GraphSAGE model consumes, at
-// element type T. Labels, flags and the adjacency snapshot are
+// element type T. Labels, flags and the adjacency structure are
 // precision-free; only the encoded features and the CSR values carry T.
 type InputOf[T mat.Float] struct {
-	// Adj is an adjacency snapshot (graph.Graph.Adjacency), still used
-	// for neighbour sampling and the explainer's subgraph extraction.
-	Adj [][]graph.NodeID
-	// CSR is the same adjacency as a shared CSR snapshot
-	// (graph.Graph.CSR); the message-passing kernels normalise and
-	// multiply it. Optional: when nil it is rebuilt from Adj on demand.
+	// CSR is the adjacency as a shared CSR snapshot (graph.Graph.CSR):
+	// the message-passing kernels normalise and multiply it, and
+	// neighbour sampling and the explainer's subgraph extraction walk
+	// its rows.
 	CSR *sparse.CSR[T]
 	// Enc holds the autoencoded IOC features, one row per node
 	// (zero rows for events and ASNs, which carry no engineered
@@ -42,12 +40,11 @@ type InputOf[T mat.Float] struct {
 type Input = InputOf[float64]
 
 // CastInput converts an input between precisions. Precision-free fields
-// (adjacency, flags, labels) are shared, not copied; Enc and the CSR
-// values are converted. Casting to the same precision returns views that
-// share everything, including the CSR's cached operators.
+// (adjacency structure, flags, labels) are shared, not copied; Enc and
+// the CSR values are converted. Casting to the same precision returns
+// views that share everything, including the CSR's cached operators.
 func CastInput[T, U mat.Float](in InputOf[U]) InputOf[T] {
 	out := InputOf[T]{
-		Adj:     in.Adj,
 		Enc:     mat.Cast[T](in.Enc),
 		IsEvent: in.IsEvent,
 		Labels:  in.Labels,
@@ -372,7 +369,7 @@ func (m *ModelOf[T]) fit(in InputOf[T], trainEvents []graph.NodeID, epochs int, 
 			}
 			agg := mean
 			if m.Config.MaxNeighbors > 0 {
-				agg = sparse.Cast[T](sparse.FromAdj(sampleAdj(rng, in.Adj, m.Config.MaxNeighbors))).MeanNormalized()
+				agg = sampleAdj(rng, in.CSR, m.Config.MaxNeighbors).MeanNormalized()
 			}
 			loss, err := m.step(in, agg, scr, ps, opt, epoch)
 			if err != nil {
@@ -632,16 +629,6 @@ func (lg *labelGradScratch[T]) accumulate(g *mat.Dense[T], visible map[graph.Nod
 	lg.g, lg.emb = nil, nil
 }
 
-// inputCSR returns the input's shared adjacency CSR, rebuilding it from
-// the adjacency lists when the caller did not supply one (tests, ad-hoc
-// inputs). BuildInput always sets it from graph.Graph.CSR().
-func inputCSR[T mat.Float](in InputOf[T]) *sparse.CSR[T] {
-	if in.CSR != nil {
-		return in.CSR
-	}
-	return sparse.Cast[T](sparse.FromAdj(in.Adj))
-}
-
 // meanOperator builds Eq. 3's neighbour-mean aggregator from the shared
 // CSR snapshot: out[v] = mean of h[n] over neighbours n of v (zero for
 // isolated nodes). Its adjoint — the backward scatter
@@ -649,7 +636,7 @@ func inputCSR[T mat.Float](in InputOf[T]) *sparse.CSR[T] {
 // operator is cached on the CSR snapshot, so repeated training and
 // prediction calls share one.
 func meanOperator[T mat.Float](in InputOf[T]) *sparse.CSR[T] {
-	return inputCSR(in).MeanNormalized()
+	return in.CSR.MeanNormalized()
 }
 
 // inferOperator is meanOperator over the cache-reordered adjacency
@@ -661,30 +648,33 @@ func meanOperator[T mat.Float](in InputOf[T]) *sparse.CSR[T] {
 // Normalising after permuting equals permuting the normalised operator
 // bit-for-bit (sparse's commute test), so results are unchanged.
 func inferOperator[T mat.Float](in InputOf[T]) (*sparse.CSR[T], *sparse.Permutation) {
-	rs, p := inputCSR(in).Reordered()
+	rs, p := in.CSR.Reordered()
 	return rs.MeanNormalized(), p
 }
 
-// sampleAdj caps each node's neighbour list at k by sampling without
-// replacement.
-func sampleAdj(rng *rand.Rand, adj [][]graph.NodeID, k int) [][]graph.NodeID {
-	out := make([][]graph.NodeID, len(adj))
-	for v, ns := range adj {
+// sampleAdj caps each row of a at k entries by sampling without
+// replacement, returning the sampled adjacency as a fresh unweighted
+// CSR.
+func sampleAdj[T mat.Float](rng *rand.Rand, a *sparse.CSR[T], k int) *sparse.CSR[T] {
+	rowPtr := make([]int, a.Rows+1)
+	colIdx := make([]int32, 0, a.NNZ())
+	var tmp []int32
+	for v := 0; v < a.Rows; v++ {
+		ns := a.ColIdx[a.RowPtr[v]:a.End(v)]
 		if len(ns) <= k {
-			out[v] = ns
-			continue
+			colIdx = append(colIdx, ns...)
+		} else {
+			// Partial Fisher-Yates over a copy.
+			tmp = append(tmp[:0], ns...)
+			for i := 0; i < k; i++ {
+				j := i + rng.Intn(len(tmp)-i)
+				tmp[i], tmp[j] = tmp[j], tmp[i]
+			}
+			colIdx = append(colIdx, tmp[:k]...)
 		}
-		picked := make([]graph.NodeID, k)
-		// Partial Fisher-Yates over a copy.
-		tmp := append([]graph.NodeID(nil), ns...)
-		for i := 0; i < k; i++ {
-			j := i + rng.Intn(len(tmp)-i)
-			tmp[i], tmp[j] = tmp[j], tmp[i]
-			picked[i] = tmp[i]
-		}
-		out[v] = picked
+		rowPtr[v+1] = len(colIdx)
 	}
-	return out
+	return sparse.NewOf[T](a.Rows, a.Cols, rowPtr, colIdx, nil)
 }
 
 // forwardInfer is the inference-only forward pass: it runs each layer

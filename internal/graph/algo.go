@@ -1,18 +1,25 @@
 package graph
 
+import (
+	"trail/internal/mat"
+	"trail/internal/sparse"
+)
+
 // This file holds the graph analytics used by the TKG dataset report
 // (Section V of the paper) and by the attribution models: BFS distances,
 // ego networks, connected components and pseudo-diameter estimation.
+// They walk the rows of an adjacency CSR (Graph.CSR, or a subgraph of
+// it), so repeated traversals share one immutable snapshot lock-free.
 
 // BFSDistances returns the hop distance from src to every node reachable
-// through adj (an adjacency snapshot from Graph.Adjacency), with -1 for
-// unreachable nodes. maxDepth < 0 means unlimited.
-func BFSDistances(adj [][]NodeID, src NodeID, maxDepth int) []int32 {
-	dist := make([]int32, len(adj))
+// through the adjacency a, with -1 for unreachable nodes. maxDepth < 0
+// means unlimited. Any element type works: only the structure is read.
+func BFSDistances[T mat.Float](a *sparse.CSR[T], src NodeID, maxDepth int) []int32 {
+	dist := make([]int32, a.Rows)
 	for i := range dist {
 		dist[i] = -1
 	}
-	if int(src) >= len(adj) {
+	if int(src) >= a.Rows {
 		return dist
 	}
 	dist[src] = 0
@@ -23,29 +30,16 @@ func BFSDistances(adj [][]NodeID, src NodeID, maxDepth int) []int32 {
 		}
 		var next []NodeID
 		for _, u := range frontier {
-			for _, v := range adj[u] {
+			for _, v := range a.ColIdx[a.RowPtr[u]:a.End(int(u))] {
 				if dist[v] < 0 {
 					dist[v] = depth
-					next = append(next, v)
+					next = append(next, NodeID(v))
 				}
 			}
 		}
 		frontier = next
 	}
 	return dist
-}
-
-// KHopNeighborhood returns all node IDs within k hops of src (including
-// src itself), using an adjacency snapshot.
-func KHopNeighborhood(adj [][]NodeID, src NodeID, k int) []NodeID {
-	dist := BFSDistances(adj, src, k)
-	var out []NodeID
-	for id, d := range dist {
-		if d >= 0 {
-			out = append(out, NodeID(id))
-		}
-	}
-	return out
 }
 
 // EgoNet describes the subgraph induced by a node and its k-hop
@@ -59,9 +53,9 @@ type EgoNet struct {
 }
 
 // Ego returns the k-hop ego network around src. Edge types are taken from
-// the live graph, so g must be the graph adj was snapshotted from.
-func (g *Graph) Ego(adj [][]NodeID, src NodeID, k int) *EgoNet {
-	dist := BFSDistances(adj, src, k)
+// the live graph, so g must be the graph a was emitted from.
+func (g *Graph) Ego(a *sparse.Matrix, src NodeID, k int) *EgoNet {
+	dist := BFSDistances(a, src, k)
 	net := &EgoNet{
 		Ego:   src,
 		Dist:  make(map[NodeID]int),
@@ -102,26 +96,26 @@ func (g *Graph) Ego(adj [][]NodeID, src NodeID, k int) *EgoNet {
 // slice (label values are arbitrary but consistent with the returned
 // sizes' original indices via the relabel map: sizes[i] is the size of the
 // component whose label is order[i]).
-func ConnectedComponents(adj [][]NodeID) (labels []int32, sizes []int) {
-	n := len(adj)
+func ConnectedComponents(a *sparse.Matrix) (labels []int32, sizes []int) {
+	n := a.Rows
 	labels = make([]int32, n)
 	for i := range labels {
 		labels[i] = -1
 	}
 	var comp int32
-	var stack []NodeID
+	var stack []int32
 	for s := 0; s < n; s++ {
 		if labels[s] >= 0 {
 			continue
 		}
 		size := 0
-		stack = append(stack[:0], NodeID(s))
+		stack = append(stack[:0], int32(s))
 		labels[s] = comp
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			size++
-			for _, v := range adj[u] {
+			for _, v := range a.ColIdx[a.RowPtr[u]:a.End(int(u))] {
 				if labels[v] < 0 {
 					labels[v] = comp
 					stack = append(stack, v)
@@ -136,8 +130,8 @@ func ConnectedComponents(adj [][]NodeID) (labels []int32, sizes []int) {
 
 // LargestComponent returns the node IDs of the largest connected
 // component and its size.
-func LargestComponent(adj [][]NodeID) ([]NodeID, int) {
-	labels, sizes := ConnectedComponents(adj)
+func LargestComponent(a *sparse.Matrix) ([]NodeID, int) {
+	labels, sizes := ConnectedComponents(a)
 	best, bestSize := -1, 0
 	for i, s := range sizes {
 		if s > bestSize {
@@ -161,14 +155,14 @@ func LargestComponent(adj [][]NodeID) ([]NodeID, int) {
 // from the current node, jump to the farthest node found, repeat. The
 // returned value is a lower bound that is exact on trees and typically
 // tight on small-world graphs like the TKG.
-func PseudoDiameter(adj [][]NodeID, start NodeID, sweeps int) int {
+func PseudoDiameter(a *sparse.Matrix, start NodeID, sweeps int) int {
 	if sweeps < 1 {
 		sweeps = 1
 	}
 	cur := start
 	best := 0
 	for s := 0; s < sweeps; s++ {
-		dist := BFSDistances(adj, cur, -1)
+		dist := BFSDistances(a, cur, -1)
 		far, fd := cur, int32(0)
 		for id, d := range dist {
 			if d > fd {
@@ -185,36 +179,35 @@ func PseudoDiameter(adj [][]NodeID, start NodeID, sweeps int) int {
 }
 
 // InducedAdjacency returns the adjacency of the subgraph induced by keep
-// (a predicate over node IDs), re-using the original node IDs. Nodes not
-// kept have empty adjacency rows.
-func InducedAdjacency(adj [][]NodeID, keep func(NodeID) bool) [][]NodeID {
-	out := make([][]NodeID, len(adj))
-	for u := range adj {
-		if !keep(NodeID(u)) {
-			continue
-		}
-		var row []NodeID
-		for _, v := range adj[u] {
-			if keep(v) {
-				row = append(row, v)
+// (a predicate over node IDs) as a CSR over the original node IDs, entry
+// order preserved. Nodes not kept have empty rows.
+func InducedAdjacency(a *sparse.Matrix, keep func(NodeID) bool) *sparse.Matrix {
+	rowPtr := make([]int, a.Rows+1)
+	var colIdx []int32
+	for u := 0; u < a.Rows; u++ {
+		if keep(NodeID(u)) {
+			for _, v := range a.ColIdx[a.RowPtr[u]:a.End(u)] {
+				if keep(NodeID(v)) {
+					colIdx = append(colIdx, v)
+				}
 			}
 		}
-		out[u] = row
+		rowPtr[u+1] = len(colIdx)
 	}
-	return out
+	return sparse.New(a.Rows, a.Cols, rowPtr, colIdx, nil)
 }
 
 // CountWithinHops returns how many of the candidate nodes have at least
-// one *other* candidate within maxHops of them in adj. The paper reports
+// one *other* candidate within maxHops of them in a. The paper reports
 // that 85% of event nodes are within 2 hops of another event node.
-func CountWithinHops(adj [][]NodeID, candidates []NodeID, maxHops int) int {
+func CountWithinHops(a *sparse.Matrix, candidates []NodeID, maxHops int) int {
 	isCand := make(map[NodeID]bool, len(candidates))
 	for _, c := range candidates {
 		isCand[c] = true
 	}
 	count := 0
 	for _, c := range candidates {
-		dist := BFSDistances(adj, c, maxHops)
+		dist := BFSDistances(a, c, maxHops)
 		for id, d := range dist {
 			if d > 0 && isCand[NodeID(id)] {
 				count++

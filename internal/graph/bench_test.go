@@ -48,9 +48,8 @@ func applyEventDelta(g *Graph, seq int, fanout int, rng *rand.Rand) {
 
 // perEventOp refreshes the streaming label-propagation operator the way
 // ingest does after every applied event: LiveCSR plus its sym
-// normalisation. Patched, that is a zero-copy slacked view with the
-// maintained sym values installed; unpatched it falls back to a full
-// from-scratch pack plus an O(nnz) renormalisation.
+// normalisation, a zero-copy slacked view with the maintained sym values
+// installed.
 func perEventOp(b *testing.B, g *Graph) {
 	if g.LiveCSR().SymNormalized() == nil {
 		b.Fatal("nil sym")
@@ -59,9 +58,8 @@ func perEventOp(b *testing.B, g *Graph) {
 
 // cutChain emits the packed snapshot and drives the serving-side
 // consumer chain off it: float32 cast, degree reorder, mean
-// normalisation (the GNN input operators). On a patched emission the
-// snapshot is spliced from the previous one and every step hits a
-// pre-installed or carried cache; on a rebuild each is recomputed.
+// normalisation (the GNN input operators). The snapshot is spliced from
+// the previous one and every step hits a pre-installed or carried cache.
 func cutChain(b *testing.B, g *Graph) {
 	c := sparse.Cast[float32](g.CSR())
 	rm, _ := c.Reordered()
@@ -72,31 +70,23 @@ func cutChain(b *testing.B, g *Graph) {
 
 // BenchmarkCSRPatch measures the graph-engine refresh for one
 // event-shaped delta followed by a snapshot emission on a ~20k-node
-// scale-free base: patch splices the slack-slotted mirror (targeted
-// renormalisation, sticky permutation), rebuild is the legacy
-// from-scratch pack + renormalise + re-sort. Emitted snapshots are
-// pinned bit-identical by TestCSRPatchFuzz; this benchmark quantifies
-// the gap.
+// scale-free base: the emission splices the slot rows (targeted
+// renormalisation, sticky permutation). Emitted snapshots are pinned
+// bit-identical to a from-scratch pack by TestCSRPatchFuzz.
 func BenchmarkCSRPatch(b *testing.B) {
-	for _, patch := range []bool{true, false} {
-		name := "rebuild"
-		if patch {
-			name = "patch"
+	b.Run("patch", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(7))
+		g := benchBase(20_000, 6, rng)
+		g.EnableCSRPatch(true)
+		g.CSR() // warm: first emission above the reorder gate full-sorts
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			applyEventDelta(g, i, 8, rng)
+			b.StartTimer()
+			perEventOp(b, g)
+			cutChain(b, g)
 		}
-		b.Run(name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			g := benchBase(20_000, 6, rng)
-			g.EnableCSRPatch(patch)
-			g.CSR() // warm: first emission above the reorder gate full-sorts
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				applyEventDelta(g, i, 8, rng)
-				b.StartTimer()
-				perEventOp(b, g)
-				cutChain(b, g)
-			}
-		})
-	}
+	})
 }

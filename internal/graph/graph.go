@@ -4,15 +4,16 @@
 // and the traversal primitives (BFS, ego-nets, connected components,
 // diameter estimation) that the analysis layers need.
 //
-// The store is an in-memory adjacency-list graph optimised for the TKG
+// The store is an in-memory adjacency graph optimised for the TKG
 // workload: build once (or incrementally merge event subgraphs), then
-// traverse many times. All mutating and reading methods are safe for
-// concurrent use; bulk analytics take a consistent snapshot of the
-// adjacency under the read lock.
+// traverse many times. Edges live in one slot-row store whose rows wrap
+// directly as CSR (inccsr.go). All mutating and reading methods are safe
+// for concurrent use; bulk analytics walk the immutable CSR snapshot.
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -126,27 +127,20 @@ type Node struct {
 	Degraded bool
 }
 
-// HalfEdge is one direction of a stored edge.
-type HalfEdge struct {
-	To   NodeID
-	Type EdgeType
-}
-
 // Graph is the property-graph store. The zero value is not usable; call
 // New.
 type Graph struct {
 	mu    sync.RWMutex
 	nodes []Node
-	// adj holds the undirected adjacency: every logical edge (u,v,t)
-	// appears as a HalfEdge in adj[u] and in adj[v]. Traversal in the TKG
-	// is always undirected (label propagation and GraphSAGE both treat the
-	// graph symmetrically), so storing both directions keeps hot paths
-	// simple.
-	adj [][]HalfEdge
-	// out marks, for each logical edge, its forward direction: the half
-	// edge stored in adj[u] with out bit set means the schema direction is
-	// u->v. Encoded in parallel with adj.
-	out [][]bool
+	// rows is the undirected adjacency, the graph's only edge store:
+	// every logical edge (u,v,t) appears as an entry in row u and in row
+	// v, each tagged with its type and whether it is the schema (forward)
+	// direction. Traversal in the TKG is always undirected (label
+	// propagation and GraphSAGE both treat the graph symmetrically), so
+	// storing both directions keeps hot paths simple. Rows are
+	// append-only and their column arrays wrap directly as CSR (see
+	// inccsr.go).
+	rows rowStore
 	// index maps (kind, key) to NodeID.
 	index map[nodeRef]NodeID
 	// edgeCount is the number of logical (undirected) edges.
@@ -167,19 +161,8 @@ type Graph struct {
 	// endpoints of inserted edges) when tracking is enabled; the streaming
 	// ingest path drains it to seed incremental label propagation.
 	dirty map[NodeID]struct{}
-	// dirtyBuf is DrainDirty's recycled output buffer (see inccsr.go).
+	// dirtyBuf is DrainDirty's recycled output buffer.
 	dirtyBuf []NodeID
-	// log records every inserted edge in insertion order. WriteTo
-	// serialises edges in this order and ReadFrom replays it, which makes
-	// the snapshot order-faithful: a deserialised graph reproduces the
-	// writer's adjacency-entry order bit-for-bit, so a CSR emitted by the
-	// writer is directly adoptable by the reader (AdoptCSR). ~12 bytes per
-	// edge; edges are never removed, so the log is append-only.
-	log []logEdge
-	// inc is the incremental CSR builder, non-nil while EnableCSRPatch is
-	// on: mutations mirror into its slack-slotted buffers and CSR() emits
-	// patched snapshots instead of re-packing from the adjacency lists.
-	inc *csrBuilder
 	// patchApplied / patchFallback count CSR snapshot emissions by kind
 	// (see CSRPatchStats).
 	patchApplied  uint64
@@ -191,15 +174,9 @@ type nodeRef struct {
 	key  string
 }
 
-// logEdge is one entry of the insertion-order edge log.
-type logEdge struct {
-	u, v NodeID
-	t    EdgeType
-}
-
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{index: make(map[nodeRef]NodeID)}
+	return &Graph{index: make(map[nodeRef]NodeID), rows: newRowStore()}
 }
 
 // NumNodes returns the number of nodes in the graph.
@@ -236,27 +213,19 @@ func (g *Graph) EdgeTypeCount(t EdgeType) int {
 func (g *Graph) Upsert(kind NodeKind, key string) (NodeID, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.upsertLocked(kind, key)
-}
-
-func (g *Graph) upsertLocked(kind NodeKind, key string) (NodeID, bool) {
 	ref := nodeRef{kind, key}
 	if id, ok := g.index[ref]; ok {
 		return id, false
 	}
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Kind: kind, Key: key, Label: -1})
-	g.adj = append(g.adj, nil)
-	g.out = append(g.out, nil)
+	g.rows.addNode()
 	g.index[ref] = id
 	g.kindCount[kind]++
 	g.csr = nil
 	g.version++
 	if g.dirty != nil {
 		g.dirty[id] = struct{}{}
-	}
-	if g.inc != nil {
-		g.inc.addNode()
 	}
 	return id, true
 }
@@ -273,7 +242,7 @@ func (g *Graph) Version() uint64 {
 
 // TrackDirty enables (or disables) structural dirty tracking. While
 // enabled, every created node and every endpoint of an inserted edge is
-// accumulated into a set drained by TakeDirty. Disabling clears the set.
+// accumulated into a set drained by DrainDirty. Disabling clears the set.
 func (g *Graph) TrackDirty(on bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -285,19 +254,27 @@ func (g *Graph) TrackDirty(on bool) {
 	}
 }
 
-// TakeDirty returns the structurally-touched node IDs accumulated since
+// DrainDirty returns the structurally-touched node IDs accumulated since
 // the last call, sorted ascending, and resets the set. It returns nil
-// when tracking is disabled or nothing was touched. The returned slice
-// is freshly allocated and owned by the caller; hot loops that drain per
-// event should use DrainDirty, which recycles one buffer instead.
-func (g *Graph) TakeDirty() []NodeID {
+// when tracking is disabled or nothing was touched. The IDs are written
+// into a buffer owned by the graph and returned as a view, valid until
+// the next DrainDirty call (slices.Clone it to keep it): the
+// single-consumer streaming apply loop drains per event, so the buffer
+// is recycled thousands of times per cut.
+func (g *Graph) DrainDirty() []NodeID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	d := g.drainDirtyLocked()
-	if d == nil {
+	if len(g.dirty) == 0 {
 		return nil
 	}
-	return append([]NodeID(nil), d...)
+	buf := g.dirtyBuf[:0]
+	for id := range g.dirty {
+		buf = append(buf, id)
+	}
+	clear(g.dirty)
+	slices.Sort(buf)
+	g.dirtyBuf = buf
+	return buf
 }
 
 // Lookup returns the ID of the node with the given kind and key, if
@@ -337,22 +314,15 @@ func (g *Graph) AddEdge(u, v NodeID, t EdgeType) bool {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	// Duplicate check: scan the smaller adjacency list.
-	a, b := u, v
-	if len(g.adj[b]) < len(g.adj[a]) {
-		a, b = b, a
+	return g.addEdgeLocked(u, v, t)
+}
+
+// addEdgeLocked is AddEdge for a non-loop edge under g.mu.
+func (g *Graph) addEdgeLocked(u, v NodeID, t EdgeType) bool {
+	if g.rows.has(u, v, t) {
+		return false
 	}
-	for _, he := range g.adj[a] {
-		other := he.To
-		if he.Type == t && ((a == u && other == v) || (a == v && other == u)) {
-			return false
-		}
-	}
-	g.adj[u] = append(g.adj[u], HalfEdge{To: v, Type: t})
-	g.out[u] = append(g.out[u], true)
-	g.adj[v] = append(g.adj[v], HalfEdge{To: u, Type: t})
-	g.out[v] = append(g.out[v], false)
-	g.log = append(g.log, logEdge{u: u, v: v, t: t})
+	g.rows.addEdge(u, v, t)
 	g.edgeCount++
 	g.typeCount[t]++
 	g.csr = nil
@@ -361,9 +331,6 @@ func (g *Graph) AddEdge(u, v NodeID, t EdgeType) bool {
 		g.dirty[u] = struct{}{}
 		g.dirty[v] = struct{}{}
 	}
-	if g.inc != nil {
-		g.inc.addEdge(u, v)
-	}
 	return true
 }
 
@@ -371,7 +338,7 @@ func (g *Graph) AddEdge(u, v NodeID, t EdgeType) bool {
 func (g *Graph) Degree(id NodeID) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.adj[id])
+	return g.rows.degree(id)
 }
 
 // Neighbors returns the IDs adjacent to id (both directions), in storage
@@ -379,9 +346,10 @@ func (g *Graph) Degree(id NodeID) int {
 func (g *Graph) Neighbors(id NodeID) []NodeID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := make([]NodeID, len(g.adj[id]))
-	for i, he := range g.adj[id] {
-		out[i] = he.To
+	row := g.rows.row(id)
+	out := make([]NodeID, len(row))
+	for i, v := range row {
+		out[i] = NodeID(v)
 	}
 	return out
 }
@@ -392,8 +360,9 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 func (g *Graph) NeighborEdges(id NodeID, f func(to NodeID, t EdgeType, fwd bool) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	for i, he := range g.adj[id] {
-		if !f(he.To, he.Type, g.out[id][i]) {
+	for k := g.rows.start[id]; k < g.rows.end[id]; k++ {
+		m := g.rows.meta[k]
+		if !f(NodeID(g.rows.col[k]), m.typ(), m.fwd()) {
 			return
 		}
 	}
@@ -407,10 +376,10 @@ func (g *Graph) NeighborEdges(id NodeID, f func(to NodeID, t EdgeType, fwd bool)
 func (g *Graph) ForEachEdge(f func(u, v NodeID, t EdgeType) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	for u := range g.adj {
-		for i, he := range g.adj[u] {
-			if g.out[u][i] {
-				if !f(NodeID(u), he.To, he.Type) {
+	for u := range g.nodes {
+		for k := g.rows.start[u]; k < g.rows.end[u]; k++ {
+			if m := g.rows.meta[k]; m.fwd() {
+				if !f(NodeID(u), NodeID(g.rows.col[k]), m.typ()) {
 					return
 				}
 			}
@@ -440,36 +409,21 @@ func (g *Graph) ForEachNode(f func(Node)) {
 	}
 }
 
-// AvgDegreeByKind returns the mean undirected degree for each node kind.
-func (g *Graph) AvgDegreeByKind() map[NodeKind]float64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	sum := make(map[NodeKind]int)
-	for i := range g.nodes {
-		sum[g.nodes[i].Kind] += len(g.adj[i])
-	}
-	out := make(map[NodeKind]float64, len(sum))
-	for k, s := range sum {
-		if g.kindCount[k] > 0 {
-			out[k] = float64(s) / float64(g.kindCount[k])
-		}
-	}
-	return out
-}
-
-// Adjacency returns a frozen copy of the adjacency lists, suitable for
-// the analytics code that wants lock-free repeated traversal. The outer
-// slice is indexed by NodeID.
+// Adjacency returns a freshly allocated copy of the adjacency rows,
+// indexed by NodeID. Nothing in the system reads it any more — the
+// analytics walk CSR() rows — but the benchmark harness in perfbench/
+// times it as a layer probe, which is why it remains.
 func (g *Graph) Adjacency() [][]NodeID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := make([][]NodeID, len(g.adj))
-	for i, hes := range g.adj {
-		row := make([]NodeID, len(hes))
-		for j, he := range hes {
-			row[j] = he.To
+	out := make([][]NodeID, len(g.nodes))
+	for i := range out {
+		row := g.rows.row(NodeID(i))
+		ids := make([]NodeID, len(row))
+		for j, v := range row {
+			ids[j] = NodeID(v)
 		}
-		out[i] = row
+		out[i] = ids
 	}
 	return out
 }
@@ -493,39 +447,18 @@ func (g *Graph) CSR() *sparse.Matrix {
 	return g.csrLocked()
 }
 
-// csrLocked builds (or returns) the cached snapshot under g.mu. With the
-// incremental builder enabled the snapshot is emitted as a patch —
-// slack-buffer copy-out with repaired normalisation and permutation
-// caches pre-installed, bit-identical to the from-scratch build below.
+// csrLocked returns the cached snapshot, emitting one from the rows
+// first if a mutation invalidated it. Caller holds g.mu for writing.
 func (g *Graph) csrLocked() *sparse.Matrix {
-	if g.csr != nil {
-		return g.csr
-	}
-	if g.inc != nil {
-		m, fullSort := g.inc.packed()
+	if g.csr == nil {
+		m, fullSort := g.rows.packed()
 		if fullSort {
 			g.patchFallback++
 		} else {
 			g.patchApplied++
 		}
 		g.csr = m
-		return g.csr
 	}
-	g.patchFallback++
-	n := len(g.adj)
-	rowPtr := make([]int, n+1)
-	for i, hes := range g.adj {
-		rowPtr[i+1] = rowPtr[i] + len(hes)
-	}
-	colIdx := make([]int32, rowPtr[n])
-	k := 0
-	for _, hes := range g.adj {
-		for _, he := range hes {
-			colIdx[k] = int32(he.To)
-			k++
-		}
-	}
-	g.csr = sparse.New(n, n, rowPtr, colIdx, nil)
 	return g.csr
 }
 
@@ -547,9 +480,10 @@ func (g *Graph) CSRReordered() (*sparse.Matrix, *sparse.Permutation) {
 func (g *Graph) SortedNeighborKeys(id NodeID) []string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	keys := make([]string, len(g.adj[id]))
-	for i, he := range g.adj[id] {
-		keys[i] = g.nodes[he.To].Key
+	row := g.rows.row(id)
+	keys := make([]string, len(row))
+	for i, v := range row {
+		keys[i] = g.nodes[v].Key
 	}
 	sort.Strings(keys)
 	return keys

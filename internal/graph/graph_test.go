@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -88,7 +89,7 @@ func TestNeighborEdgesDirection(t *testing.T) {
 func TestBFSAndComponents(t *testing.T) {
 	g := buildSmall(t)
 	g.Upsert(KindDomain, "island.org") // isolated
-	adj := g.Adjacency()
+	adj := g.CSR()
 	ev, _ := g.Lookup(KindEvent, "ev1")
 	dist := BFSDistances(adj, ev, -1)
 	dom, _ := g.Lookup(KindDomain, "evil.com")
@@ -111,9 +112,13 @@ func TestBFSAndComponents(t *testing.T) {
 
 func TestBFSDepthLimit(t *testing.T) {
 	g := buildSmall(t)
-	adj := g.Adjacency()
 	ev, _ := g.Lookup(KindEvent, "ev1")
-	hood := KHopNeighborhood(adj, ev, 1)
+	var hood []NodeID
+	for id, d := range BFSDistances(g.CSR(), ev, 1) {
+		if d >= 0 {
+			hood = append(hood, NodeID(id))
+		}
+	}
 	if len(hood) != 2 { // ev + ip
 		t.Fatalf("1-hop neighborhood %v", hood)
 	}
@@ -121,9 +126,8 @@ func TestBFSDepthLimit(t *testing.T) {
 
 func TestEgoNet(t *testing.T) {
 	g := buildSmall(t)
-	adj := g.Adjacency()
 	ev, _ := g.Lookup(KindEvent, "ev1")
-	net := g.Ego(adj, ev, 2)
+	net := g.Ego(g.CSR(), ev, 2)
 	if len(net.Nodes) != 4 {
 		t.Fatalf("ego nodes %d", len(net.Nodes))
 	}
@@ -146,8 +150,7 @@ func TestPseudoDiameterOnPath(t *testing.T) {
 		}
 		prev = id
 	}
-	adj := g.Adjacency()
-	if d := PseudoDiameter(adj, 3, 4); d != n-1 {
+	if d := PseudoDiameter(g.CSR(), 3, 4); d != n-1 {
 		t.Fatalf("path diameter %d, want %d", d, n-1)
 	}
 }
@@ -237,17 +240,14 @@ func TestConcurrentUpsertAndRead(t *testing.T) {
 
 func TestInducedAdjacency(t *testing.T) {
 	g := buildSmall(t)
-	adj := g.Adjacency()
 	ip, _ := g.Lookup(KindIP, "1.2.3.4")
-	sub := InducedAdjacency(adj, func(id NodeID) bool { return id != ip })
-	for _, row := range sub {
-		for _, v := range row {
-			if v == ip {
-				t.Fatal("excluded node still referenced")
-			}
+	sub := InducedAdjacency(g.CSR(), func(id NodeID) bool { return id != ip })
+	for _, v := range sub.ColIdx {
+		if NodeID(v) == ip {
+			t.Fatal("excluded node still referenced")
 		}
 	}
-	if len(sub[ip]) != 0 {
+	if sub.End(int(ip)) != sub.RowPtr[ip] {
 		t.Fatal("excluded node has adjacency")
 	}
 }
@@ -257,7 +257,7 @@ func TestCountWithinHops(t *testing.T) {
 	ev2, _ := g.Upsert(KindEvent, "ev2")
 	ip, _ := g.Lookup(KindIP, "1.2.3.4")
 	g.AddEdge(ev2, ip, EdgeInReport)
-	adj := g.Adjacency()
+	adj := g.CSR()
 	ev1, _ := g.Lookup(KindEvent, "ev1")
 	if got := CountWithinHops(adj, []NodeID{ev1, ev2}, 2); got != 2 {
 		t.Fatalf("within 2 hops: %d", got)
@@ -278,7 +278,7 @@ func TestComponentSizesSumToNodes(t *testing.T) {
 		for e := 0; e < rng.Intn(60); e++ {
 			g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), EdgeARecord)
 		}
-		_, sizes := ConnectedComponents(g.Adjacency())
+		_, sizes := ConnectedComponents(g.CSR())
 		total := 0
 		for _, s := range sizes {
 			total += s
@@ -420,11 +420,11 @@ func TestVersionMonotonic(t *testing.T) {
 }
 
 // TestTakeDirty: with tracking on, created nodes and edge endpoints
-// accumulate into a sorted, deduplicated set that drains on Take.
+// accumulate into a sorted, deduplicated set that drains on Drain.
 func TestTakeDirty(t *testing.T) {
 	g := New()
-	if got := g.TakeDirty(); got != nil {
-		t.Fatalf("untracked TakeDirty = %v", got)
+	if got := slices.Clone(g.DrainDirty()); got != nil {
+		t.Fatalf("untracked DrainDirty = %v", got)
 	}
 	g.TrackDirty(true)
 	a, _ := g.Upsert(KindEvent, "e1")
@@ -432,7 +432,7 @@ func TestTakeDirty(t *testing.T) {
 	c, _ := g.Upsert(KindIP, "5.6.7.8")
 	g.AddEdge(a, b, EdgeInReport)
 	g.AddEdge(a, b, EdgeInReport) // duplicate: no new dirt
-	d := g.TakeDirty()
+	d := slices.Clone(g.DrainDirty())
 	want := []NodeID{a, b, c}
 	if len(d) != len(want) {
 		t.Fatalf("dirty %v, want %v", d, want)
@@ -442,19 +442,19 @@ func TestTakeDirty(t *testing.T) {
 			t.Fatalf("dirty %v, want %v", d, want)
 		}
 	}
-	if got := g.TakeDirty(); got != nil {
-		t.Fatalf("second TakeDirty = %v, want nil", got)
+	if got := slices.Clone(g.DrainDirty()); got != nil {
+		t.Fatalf("second DrainDirty = %v, want nil", got)
 	}
 	// Edge between two existing nodes dirties both endpoints.
 	g.AddEdge(b, c, EdgeARecord)
-	d = g.TakeDirty()
+	d = slices.Clone(g.DrainDirty())
 	if len(d) != 2 || d[0] != b || d[1] != c {
 		t.Fatalf("edge dirt %v, want [%d %d]", d, b, c)
 	}
 	g.TrackDirty(false)
 	g.Upsert(KindDomain, "x.test")
-	if got := g.TakeDirty(); got != nil {
-		t.Fatalf("disabled TakeDirty = %v", got)
+	if got := slices.Clone(g.DrainDirty()); got != nil {
+		t.Fatalf("disabled DrainDirty = %v", got)
 	}
 }
 

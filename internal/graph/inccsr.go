@@ -9,22 +9,28 @@ import (
 	"trail/internal/sparse"
 )
 
-// Incremental CSR maintenance (DESIGN.md §3j).
+// The adjacency store and its CSR emission (DESIGN.md §3j).
 //
-// The streaming ingest path mutates the graph a handful of edges at a
-// time and then needs a CSR snapshot — historically a full O(V+E)
-// re-pack plus full re-normalisation and a full degree re-sort per cut.
-// csrBuilder keeps a slack-slotted mirror of the adjacency alongside the
-// HalfEdge lists: every row owns a slot with spare capacity, appends go
-// into the slack (amortised O(1), relocating a row to the tail when its
-// slot fills), and the derived artefacts — sym-normalisation values,
-// mean scales, the degree-descending permutation — are repaired only for
-// the rows a delta actually touched.
+// rowStore is the graph's only edge storage: slack-slotted rows whose
+// int32 column array wraps directly as a CSR ColIdx. Every row owns a
+// slot with spare capacity; appends go into the slack (amortised O(1),
+// relocating a row to the tail when its slot fills), and a parallel
+// byte per entry packs the edge type and the forward-direction bit.
+//
+// CSR() emits packed snapshots from the rows by splicing: rows whose
+// entry set did not change since the previous emission block-copy out
+// of the previous snapshot, and only the delta rows gather from the
+// slots. The derived artefacts — mean scales, the degree-descending
+// permutation and its permuted view — are installed on the snapshot at
+// emission. The streaming path additionally reads a zero-copy slacked
+// live view whose sym-normalisation values are maintained in place,
+// repaired only for the rows a delta touched; its value buffers exist
+// only once the live view is first requested.
 //
 // Bit-identity contract: every emitted snapshot is bit-for-bit the
-// matrix the from-scratch path would have built.
+// matrix a from-scratch pack of the rows would build.
 //   - Adjacency values are exact ones, so row sums are exact integers:
-//     invSqrt[i] = 1/Sqrt(float64(deg)) and meanScale[i] = 1/float64(deg)
+//     invSqrt[i] = 1/Sqrt(float64(deg)) and the mean scale 1/float64(deg)
 //     equal the from-scratch accumulations bitwise.
 //   - A sym entry is 1·(invSqrt[i]·invSqrt[j]); multiplying by 1 is
 //     exact, so the repaired product matches SymNormalized bitwise.
@@ -34,7 +40,7 @@ import (
 //     unchanged runs straight out of the previous snapshot.
 //
 // The reorder cache is the one deliberate exception to snapshot-level
-// identity with the from-scratch path: the degree-descending order is a
+// identity with a from-scratch build: the degree-descending order is a
 // cache-locality heuristic, and every consumer uses the permuted view as
 // a row-local gather/scatter (row r of the view is row Perm[r] of the
 // base, with the within-row entry order preserved), so kernel results
@@ -47,38 +53,43 @@ import (
 // relabelling (Inv) of pre-existing IDs never moves.
 //
 // The whole contract is pinned by the mutation-sequence fuzz harness in
-// inccsr_test.go, which checks both matrix-level identity (adjacency,
-// normalisations) and kernel-level identity (permuted SpMM scattered
-// back vs the unpermuted run).
-type csrBuilder struct {
-	// Slot layout: row i's live entries are col[start[i]:end[i]] inside a
-	// slot of rcap[i] entries; sym is the parallel sym-normalised value
-	// buffer and ones a shared all-ones value buffer of the same length.
-	// start has one extra element so the buffer can be wrapped as a CSR
-	// RowPtr directly (the last element is scratch).
+// inccsr_test.go, which compares every emission against a from-scratch
+// oracle: matrix-level identity (adjacency, normalisations) and
+// kernel-level identity (permuted SpMM scattered back vs the unpermuted
+// run).
+type rowStore struct {
+	// Slot layout: row i's live entries are col[start[i]:end[i]] (with
+	// meta alongside) inside a slot of rcap[i] entries. start has one
+	// extra element so the buffer can be wrapped as a CSR RowPtr directly
+	// (the last element is scratch).
 	start []int
 	end   []int
 	rcap  []int
 	col   []int32
-	sym   []float64
-	ones  []float64
+	meta  []edgeMeta
 
-	// Per-node normalisation scalars, repaired for degree-changed nodes.
-	invSqrt   []float64
-	meanScale []float64
-
-	used  int // high-water offset in col/sym
+	used  int // high-water offset in col/meta
 	waste int // slots abandoned by row relocations
 	nnz   int // live entries
 
-	// symStale holds nodes whose degree changed since the last sym
-	// repair; permDirty holds nodes whose degree changed since lastPerm
-	// was last brought to exact degree order (drift accumulates across
-	// sticky emissions); colDirty holds rows whose entry set changed
-	// since the last packed emission (the splice set).
-	symStale  map[NodeID]struct{}
-	permDirty map[NodeID]struct{}
+	// Live view buffers, nil until the live view is first requested: sym
+	// is the sym-normalised value buffer parallel to col, ones an all-ones
+	// buffer of the same length, invSqrt the per-node normalisation
+	// scalar, and symStale the nodes whose degree changed since the last
+	// sym repair.
+	sym      []float64
+	ones     []float64
+	invSqrt  []float64
+	symStale map[NodeID]struct{}
+
+	// Emission state. colDirty holds rows whose entry set changed since
+	// the previous emission (the splice set; tracked once there is a
+	// previous emission to splice from). permDirty holds nodes whose
+	// degree changed since lastPerm was last brought to exact degree
+	// order (tracked once there is a permutation; drift accumulates
+	// across sticky emissions).
 	colDirty  map[NodeID]struct{}
+	permDirty map[NodeID]struct{}
 	// lastPerm is the sticky permutation (nil before the first emission
 	// above the reorder gate); lastP wraps it with its inverse. Both are
 	// shared read-only with emitted snapshots.
@@ -93,6 +104,22 @@ type csrBuilder struct {
 	dirtyMark []bool
 }
 
+// edgeMeta packs an entry's EdgeType (low bits) and whether the entry
+// is the edge's schema (forward) direction (fwdBit).
+type edgeMeta uint8
+
+const fwdBit edgeMeta = 0x80
+
+func metaOf(t EdgeType, fwd bool) edgeMeta {
+	if fwd {
+		return edgeMeta(t) | fwdBit
+	}
+	return edgeMeta(t)
+}
+
+func (m edgeMeta) typ() EdgeType { return EdgeType(m &^ fwdBit) }
+func (m edgeMeta) fwd() bool     { return m&fwdBit != 0 }
+
 // csrCompactMinSlots gates slot-buffer compaction: below this many used
 // slots the waste from relocations is too small to matter. Tests lower
 // it to force compaction onto small fixtures.
@@ -103,55 +130,141 @@ var csrCompactMinSlots = 1 << 16
 // everyone else.
 func slackFor(d int) int { return d + d/4 + 2 }
 
-// newCSRBuilderLocked mirrors g's current adjacency into a fresh slotted
-// buffer with all derived artefacts valid. Caller holds g.mu.
-func newCSRBuilderLocked(g *Graph) *csrBuilder {
-	n := len(g.adj)
-	b := &csrBuilder{
-		start:     make([]int, n+1),
-		end:       make([]int, n),
-		rcap:      make([]int, n),
-		invSqrt:   make([]float64, n),
-		meanScale: make([]float64, n),
-		symStale:  make(map[NodeID]struct{}),
-		permDirty: make(map[NodeID]struct{}),
+func newRowStore() rowStore {
+	return rowStore{
+		start:     []int{0},
 		colDirty:  make(map[NodeID]struct{}),
+		permDirty: make(map[NodeID]struct{}),
 	}
+}
+
+// layout sizes an empty store for rows of the given final degrees, each
+// slot with slackFor headroom, so a replay of those edges never
+// relocates.
+func (s *rowStore) layout(deg []int) {
+	n := len(deg)
+	s.start = make([]int, n+1)
+	s.end = make([]int, n)
+	s.rcap = make([]int, n)
 	total := 0
-	for _, hes := range g.adj {
-		total += slackFor(len(hes))
+	for _, d := range deg {
+		total += slackFor(d)
 	}
-	if total < 64 {
-		total = 64
-	}
-	b.col = make([]int32, total)
-	b.sym = make([]float64, total)
-	b.ones = onesOf(total)
+	total = max(total, 64)
+	s.col = make([]int32, total)
+	s.meta = make([]edgeMeta, total)
 	off := 0
-	for i, hes := range g.adj {
-		d := len(hes)
-		b.start[i] = off
-		for k, he := range hes {
-			b.col[off+k] = int32(he.To)
-		}
-		b.end[i] = off + d
-		b.rcap[i] = slackFor(d)
-		off += b.rcap[i]
-		if d > 0 {
-			b.invSqrt[i] = 1 / math.Sqrt(float64(d))
-			b.meanScale[i] = 1 / float64(d)
-		}
-		b.nnz += d
+	for i, d := range deg {
+		s.start[i], s.end[i], s.rcap[i] = off, off, slackFor(d)
+		off += s.rcap[i]
 	}
-	b.used = off
-	b.start[n] = off
-	for i := range g.adj {
-		inv := b.invSqrt[i]
-		for k := b.start[i]; k < b.end[i]; k++ {
-			b.sym[k] = inv * b.invSqrt[b.col[k]]
+	s.used = off
+	s.start[n] = off
+}
+
+func (s *rowStore) degree(i NodeID) int { return s.end[i] - s.start[i] }
+
+// row returns row i's live column entries (a view into the store).
+func (s *rowStore) row(i NodeID) []int32 { return s.col[s.start[i]:s.end[i]] }
+
+// has reports whether edge u-(t)-v is stored in either direction,
+// scanning the shorter of the two rows.
+func (s *rowStore) has(u, v NodeID, t EdgeType) bool {
+	if s.degree(v) < s.degree(u) {
+		u, v = v, u
+	}
+	for k := s.start[u]; k < s.end[u]; k++ {
+		if s.col[k] == int32(v) && s.meta[k].typ() == t {
+			return true
 		}
 	}
-	return b
+	return false
+}
+
+// addNode appends a fresh degree-0 row (empty slot at the tail; its
+// first append will tail-extend in place).
+func (s *rowStore) addNode() {
+	id := NodeID(len(s.end))
+	s.start[len(s.start)-1] = s.used
+	s.start = append(s.start, 0)
+	s.end = append(s.end, s.used)
+	s.rcap = append(s.rcap, 0)
+	if s.sym != nil {
+		s.invSqrt = append(s.invSqrt, 0)
+	}
+	if s.lastPerm != nil {
+		s.permDirty[id] = struct{}{}
+	}
+}
+
+// addEdge appends the two entries of u-(t)->v and marks both endpoints
+// for whatever derived state is being maintained.
+func (s *rowStore) addEdge(u, v NodeID, t EdgeType) {
+	s.appendEntry(u, int32(v), metaOf(t, true))
+	s.appendEntry(v, int32(u), metaOf(t, false))
+	for _, id := range [2]NodeID{u, v} {
+		if s.sym != nil {
+			s.symStale[id] = struct{}{}
+		}
+		if s.lastPerm != nil {
+			s.permDirty[id] = struct{}{}
+		}
+		if s.lastM != nil {
+			s.colDirty[id] = struct{}{}
+		}
+	}
+}
+
+func (s *rowStore) appendEntry(i NodeID, j int32, m edgeMeta) {
+	deg := s.end[i] - s.start[i]
+	if deg == s.rcap[i] { // slot full
+		if s.start[i]+s.rcap[i] == s.used { // tail row: extend in place
+			s.ensure(1)
+			s.rcap[i]++
+			s.used++
+		} else { // relocate to a doubled slot at the tail
+			newCap := max(2*deg, 4)
+			s.ensure(newCap)
+			ns, os := s.used, s.start[i]
+			copy(s.col[ns:ns+deg], s.col[os:os+deg])
+			copy(s.meta[ns:ns+deg], s.meta[os:os+deg])
+			if s.sym != nil {
+				copy(s.sym[ns:ns+deg], s.sym[os:os+deg])
+			}
+			s.start[i] = ns
+			s.end[i] = ns + deg
+			s.rcap[i] = newCap
+			s.used += newCap
+			s.waste += deg // the abandoned slot's live span; its slack was never counted
+		}
+	}
+	s.col[s.end[i]] = j
+	s.meta[s.end[i]] = m
+	// A live sym slot stays stale; repairSym fills it (i is in symStale).
+	s.end[i]++
+	s.nnz++
+}
+
+// ensure grows the slot buffers so at least k more slots fit past used.
+func (s *rowStore) ensure(k int) {
+	need := s.used + k
+	if need <= len(s.col) {
+		return
+	}
+	sz := max(2*len(s.col), need, 64)
+	s.col = resized(s.col, sz)
+	s.meta = resized(s.meta, sz)
+	if s.sym != nil {
+		s.sym = resized(s.sym, sz)
+		s.ones = onesOf(sz)
+	}
+}
+
+// resized returns a copy of xs grown to n elements.
+func resized[T any](xs []T, n int) []T {
+	out := make([]T, n)
+	copy(out, xs)
+	return out
 }
 
 func onesOf(n int) []float64 {
@@ -162,149 +275,85 @@ func onesOf(n int) []float64 {
 	return out
 }
 
-// addNode extends the mirror with a fresh degree-0 row (empty slot at
-// the tail; its first append will tail-extend in place).
-func (b *csrBuilder) addNode() {
-	id := NodeID(len(b.end))
-	b.start[len(b.start)-1] = b.used
-	b.start = append(b.start, 0)
-	b.end = append(b.end, b.used)
-	b.rcap = append(b.rcap, 0)
-	b.invSqrt = append(b.invSqrt, 0)
-	b.meanScale = append(b.meanScale, 0)
-	b.permDirty[id] = struct{}{}
-}
-
-// addEdge appends the two half-edges of u-v and marks both endpoints for
-// normalisation and permutation repair.
-func (b *csrBuilder) addEdge(u, v NodeID) {
-	b.appendEntry(u, int32(v))
-	b.appendEntry(v, int32(u))
-	b.symStale[u] = struct{}{}
-	b.symStale[v] = struct{}{}
-	b.permDirty[u] = struct{}{}
-	b.permDirty[v] = struct{}{}
-	b.colDirty[u] = struct{}{}
-	b.colDirty[v] = struct{}{}
-}
-
-func (b *csrBuilder) appendEntry(i NodeID, j int32) {
-	deg := b.end[i] - b.start[i]
-	if deg == b.rcap[i] { // slot full
-		if b.start[i]+b.rcap[i] == b.used { // tail row: extend in place
-			b.ensure(1)
-			b.rcap[i]++
-			b.used++
-		} else { // relocate to a doubled slot at the tail
-			newCap := 2 * deg
-			if newCap < 4 {
-				newCap = 4
-			}
-			b.ensure(newCap)
-			ns := b.used
-			copy(b.col[ns:ns+deg], b.col[b.start[i]:b.end[i]])
-			copy(b.sym[ns:ns+deg], b.sym[b.start[i]:b.end[i]])
-			b.start[i] = ns
-			b.end[i] = ns + deg
-			b.rcap[i] = newCap
-			b.used += newCap
-			b.waste += deg // the abandoned slot's live span; its slack was never counted
+// materialiseLive allocates the live view's value buffers and derives
+// every sym value from the rows.
+func (s *rowStore) materialiseLive() {
+	n := len(s.end)
+	s.sym = make([]float64, len(s.col))
+	s.ones = onesOf(len(s.col))
+	s.invSqrt = make([]float64, n)
+	s.symStale = make(map[NodeID]struct{})
+	for i := 0; i < n; i++ {
+		if d := s.end[i] - s.start[i]; d > 0 {
+			s.invSqrt[i] = 1 / math.Sqrt(float64(d))
 		}
 	}
-	b.col[b.end[i]] = j
-	// The sym slot stays stale; repairSym fills it (i is in symStale).
-	b.end[i]++
-	b.nnz++
-}
-
-// ensure grows the slot buffers so at least k more slots fit past used.
-func (b *csrBuilder) ensure(k int) {
-	need := b.used + k
-	if need <= len(b.col) {
-		return
-	}
-	sz := 2 * len(b.col)
-	if sz < need {
-		sz = need
-	}
-	if sz < 64 {
-		sz = 64
-	}
-	col := make([]int32, sz)
-	copy(col, b.col)
-	b.col = col
-	sym := make([]float64, sz)
-	copy(sym, b.sym)
-	b.sym = sym
-	b.ones = onesOf(sz)
-}
-
-// repairSym re-derives the normalisation scalars for degree-changed
-// nodes and rewrites the sym values of exactly the rows whose entries
-// reference a changed scalar: the stale rows themselves plus their
-// neighbours (an entry (i,j) is invSqrt[i]·invSqrt[j], and j∈stale means
-// i is a neighbour of j). O(one-hop volume of the delta).
-func (b *csrBuilder) repairSym() {
-	if len(b.symStale) == 0 {
-		return
-	}
-	for id := range b.symStale {
-		d := b.end[id] - b.start[id]
-		if d > 0 {
-			b.invSqrt[id] = 1 / math.Sqrt(float64(d))
-			b.meanScale[id] = 1 / float64(d)
-		} else {
-			b.invSqrt[id] = 0
-			b.meanScale[id] = 0
+	for i := 0; i < n; i++ {
+		inv := s.invSqrt[i]
+		for k := s.start[i]; k < s.end[i]; k++ {
+			s.sym[k] = inv * s.invSqrt[s.col[k]]
 		}
 	}
-	rows := make(map[NodeID]struct{}, 3*len(b.symStale))
-	for id := range b.symStale {
+}
+
+// repairSym re-derives invSqrt for degree-changed nodes and rewrites the
+// sym values of exactly the rows whose entries reference a changed
+// scalar: the stale rows themselves plus their neighbours (an entry
+// (i,j) is invSqrt[i]·invSqrt[j], and j∈stale means i is a neighbour of
+// j). O(one-hop volume of the delta). No-op without a live view.
+func (s *rowStore) repairSym() {
+	if len(s.symStale) == 0 {
+		return
+	}
+	for id := range s.symStale {
+		s.invSqrt[id] = 0
+		if d := s.end[id] - s.start[id]; d > 0 {
+			s.invSqrt[id] = 1 / math.Sqrt(float64(d))
+		}
+	}
+	rows := make(map[NodeID]struct{}, 3*len(s.symStale))
+	for id := range s.symStale {
 		rows[id] = struct{}{}
-		for k := b.start[id]; k < b.end[id]; k++ {
-			rows[NodeID(b.col[k])] = struct{}{}
+		for k := s.start[id]; k < s.end[id]; k++ {
+			rows[NodeID(s.col[k])] = struct{}{}
 		}
 	}
 	for id := range rows {
-		inv := b.invSqrt[id]
-		for k := b.start[id]; k < b.end[id]; k++ {
-			b.sym[k] = inv * b.invSqrt[b.col[k]]
+		inv := s.invSqrt[id]
+		for k := s.start[id]; k < s.end[id]; k++ {
+			s.sym[k] = inv * s.invSqrt[s.col[k]]
 		}
 	}
-	clear(b.symStale)
+	clear(s.symStale)
 }
 
-// maybeCompact repacks the slot buffer with fresh slack when relocation
-// waste dominates. Called at flush points, after repairSym (so sym
+// maybeCompact repacks the slot buffers with fresh slack when relocation
+// waste dominates. Called at emission, after repairSym (so live sym
 // values are valid when copied).
-func (b *csrBuilder) maybeCompact() {
-	if b.used <= csrCompactMinSlots || 2*b.waste <= b.used {
+func (s *rowStore) maybeCompact() {
+	if s.used <= csrCompactMinSlots || 2*s.waste <= s.used {
 		return
 	}
-	n := len(b.end)
-	total := 0
-	for i := 0; i < n; i++ {
-		total += slackFor(b.end[i] - b.start[i])
+	old := *s
+	deg := make([]int, len(s.end))
+	for i := range deg {
+		deg[i] = s.end[i] - s.start[i]
 	}
-	if total < 64 {
-		total = 64
+	s.layout(deg)
+	s.waste = 0
+	if old.sym != nil {
+		s.sym = make([]float64, len(s.col))
+		s.ones = onesOf(len(s.col))
 	}
-	col := make([]int32, total)
-	sym := make([]float64, total)
-	off := 0
-	for i := 0; i < n; i++ {
-		d := b.end[i] - b.start[i]
-		copy(col[off:off+d], b.col[b.start[i]:b.end[i]])
-		copy(sym[off:off+d], b.sym[b.start[i]:b.end[i]])
-		b.start[i] = off
-		b.end[i] = off + d
-		b.rcap[i] = slackFor(d)
-		off += b.rcap[i]
+	for i, d := range deg {
+		ns, os := s.start[i], old.start[i]
+		copy(s.col[ns:ns+d], old.col[os:os+d])
+		copy(s.meta[ns:ns+d], old.meta[os:os+d])
+		if s.sym != nil {
+			copy(s.sym[ns:ns+d], old.sym[os:os+d])
+		}
+		s.end[i] = ns + d
 	}
-	b.col, b.sym = col, sym
-	b.ones = onesOf(total)
-	b.used, b.waste = off, 0
-	b.start[n] = off
 }
 
 // emitPerm returns the reorder permutation for the next emission.
@@ -325,22 +374,22 @@ func (b *csrBuilder) maybeCompact() {
 // sticky reports that the returned permutation equals the previous
 // emission's for all pre-existing rows (the permuted-splice
 // precondition).
-func (b *csrBuilder) emitPerm() (p *sparse.Permutation, sticky, repaired bool) {
-	n := len(b.end)
-	if b.lastPerm != nil && len(b.permDirty) < sparse.ReorderMinRows {
-		if len(b.lastPerm) < n {
+func (s *rowStore) emitPerm() (p *sparse.Permutation, sticky, repaired bool) {
+	n := len(s.end)
+	if s.lastPerm != nil && len(s.permDirty) < sparse.ReorderMinRows {
+		if len(s.lastPerm) < n {
 			np := make([]int32, n)
-			copy(np, b.lastPerm)
-			for i := len(b.lastPerm); i < n; i++ {
+			copy(np, s.lastPerm)
+			for i := len(s.lastPerm); i < n; i++ {
 				np[i] = int32(i)
 			}
-			b.lastPerm = np
-			b.lastP = sparse.NewPermutation(np)
+			s.lastPerm = np
+			s.lastP = sparse.NewPermutation(np)
 		}
-		return b.lastP, true, true
+		return s.lastP, true, true
 	}
 
-	degOf := func(i int32) int { return b.end[i] - b.start[i] }
+	degOf := func(i int32) int { return s.end[i] - s.start[i] }
 	less := func(a, c int32) bool {
 		da, dc := degOf(a), degOf(c)
 		if da != dc {
@@ -349,15 +398,15 @@ func (b *csrBuilder) emitPerm() (p *sparse.Permutation, sticky, repaired bool) {
 		return a < c
 	}
 	var perm []int32
-	if b.lastPerm != nil && len(b.permDirty) < n {
-		stable := make([]int32, 0, n-len(b.permDirty))
-		for _, id := range b.lastPerm {
-			if _, dirty := b.permDirty[NodeID(id)]; !dirty {
+	if s.lastPerm != nil && len(s.permDirty) < n {
+		stable := make([]int32, 0, n-len(s.permDirty))
+		for _, id := range s.lastPerm {
+			if _, dirty := s.permDirty[NodeID(id)]; !dirty {
 				stable = append(stable, id)
 			}
 		}
-		changed := make([]int32, 0, len(b.permDirty))
-		for id := range b.permDirty {
+		changed := make([]int32, 0, len(s.permDirty))
+		for id := range s.permDirty {
 			changed = append(changed, int32(id))
 		}
 		slices.SortFunc(changed, func(a, c int32) int {
@@ -387,24 +436,24 @@ func (b *csrBuilder) emitPerm() (p *sparse.Permutation, sticky, repaired bool) {
 		}
 		sort.SliceStable(perm, func(a, c int) bool { return degOf(perm[a]) > degOf(perm[c]) })
 	}
-	b.lastPerm = perm
-	b.lastP = sparse.NewPermutation(perm)
-	clear(b.permDirty)
-	return b.lastP, false, repaired
+	s.lastPerm = perm
+	s.lastP = sparse.NewPermutation(perm)
+	clear(s.permDirty)
+	return s.lastP, false, repaired
 }
 
 // markColDirty refreshes the splice scratch: dirtyMark[i] reports that
 // row i's entry set changed since the previous emission.
-func (b *csrBuilder) markColDirty(n int) {
-	if cap(b.dirtyMark) < n {
-		b.dirtyMark = make([]bool, n)
+func (s *rowStore) markColDirty(n int) {
+	if cap(s.dirtyMark) < n {
+		s.dirtyMark = make([]bool, n)
 	} else {
-		b.dirtyMark = b.dirtyMark[:n]
-		clear(b.dirtyMark)
+		s.dirtyMark = s.dirtyMark[:n]
+		clear(s.dirtyMark)
 	}
-	for id := range b.colDirty {
+	for id := range s.colDirty {
 		if int(id) < n {
-			b.dirtyMark[id] = true
+			s.dirtyMark[id] = true
 		}
 	}
 }
@@ -419,7 +468,7 @@ func (b *csrBuilder) markColDirty(n int) {
 // between consecutive emissions, and a sticky permutation guarantees
 // inv is frozen for every ID an unchanged row can reference, so block
 // copies are exact.
-func (b *csrBuilder) spliceRows(dst []int32, rowPtr []int, old *sparse.Matrix, rowOf func(int) int32, inv []int32) {
+func (s *rowStore) spliceRows(dst []int32, rowPtr []int, old *sparse.Matrix, rowOf func(int) int32, inv []int32) {
 	n := len(rowPtr) - 1
 	oldN := 0
 	if old != nil {
@@ -427,9 +476,9 @@ func (b *csrBuilder) spliceRows(dst []int32, rowPtr []int, old *sparse.Matrix, r
 	}
 	for r := 0; r < n; {
 		u := rowOf(r)
-		if r < oldN && !b.dirtyMark[u] {
+		if r < oldN && !s.dirtyMark[u] {
 			j := r + 1
-			for j < oldN && !b.dirtyMark[rowOf(j)] {
+			for j < oldN && !s.dirtyMark[rowOf(j)] {
 				j++
 			}
 			copy(dst[rowPtr[r]:rowPtr[j]], old.ColIdx[old.RowPtr[r]:old.RowPtr[j]])
@@ -437,11 +486,11 @@ func (b *csrBuilder) spliceRows(dst []int32, rowPtr []int, old *sparse.Matrix, r
 			continue
 		}
 		if inv == nil {
-			copy(dst[rowPtr[r]:rowPtr[r+1]], b.col[b.start[u]:b.end[u]])
+			copy(dst[rowPtr[r]:rowPtr[r+1]], s.col[s.start[u]:s.end[u]])
 		} else {
 			k := rowPtr[r]
-			for q := b.start[u]; q < b.end[u]; q++ {
-				dst[k] = inv[b.col[q]]
+			for q := s.start[u]; q < s.end[u]; q++ {
+				dst[k] = inv[s.col[q]]
 				k++
 			}
 		}
@@ -458,42 +507,38 @@ func (b *csrBuilder) spliceRows(dst []int32, rowPtr []int, old *sparse.Matrix, r
 // is bit-identical whenever a consumer does ask. fullSort reports that
 // the permutation had to be re-sorted from scratch (the patch-fallback
 // case, also the first emission above the gate).
-func (b *csrBuilder) packed() (m *sparse.Matrix, fullSort bool) {
-	b.repairSym()
-	b.maybeCompact()
-	n := len(b.end)
+func (s *rowStore) packed() (m *sparse.Matrix, fullSort bool) {
+	s.repairSym()
+	s.maybeCompact()
+	n := len(s.end)
 	rowPtr := make([]int, n+1)
+	meanScale := make([]float64, n)
 	for i := 0; i < n; i++ {
-		rowPtr[i+1] = rowPtr[i] + (b.end[i] - b.start[i])
+		d := s.end[i] - s.start[i]
+		rowPtr[i+1] = rowPtr[i] + d
+		if d > 0 {
+			meanScale[i] = 1 / float64(d)
+		}
 	}
 	nnz := rowPtr[n]
 	colIdx := make([]int32, nnz)
-	b.markColDirty(n)
-	b.spliceRows(colIdx, rowPtr, b.lastM, func(r int) int32 { return int32(r) }, nil)
-	meanScale := make([]float64, n)
-	copy(meanScale, b.meanScale)
+	s.markColDirty(n)
+	s.spliceRows(colIdx, rowPtr, s.lastM, func(r int) int32 { return int32(r) }, nil)
 
 	m = sparse.New(n, n, rowPtr, colIdx, nil)
 	m.InstallMeanNormalized(m.WithValues(nil, meanScale))
 
 	if n >= sparse.ReorderMinRows {
-		p, sticky, repaired := b.emitPerm()
+		p, sticky, repaired := s.emitPerm()
 		fullSort = !repaired
-		identity := true
-		for i, o := range p.Perm {
-			if int(o) != i {
-				identity = false
-				break
-			}
-		}
-		if identity {
+		if p.IsIdentity() {
 			m.InstallReordered(m, nil)
-			b.lastPM = nil
+			s.lastPM = nil
 		} else {
 			pmRowPtr := make([]int, n+1)
 			for r := 0; r < n; r++ {
 				u := p.Perm[r]
-				pmRowPtr[r+1] = pmRowPtr[r] + (b.end[u] - b.start[u])
+				pmRowPtr[r+1] = pmRowPtr[r] + (s.end[u] - s.start[u])
 			}
 			pmCol := make([]int32, nnz)
 			var oldPM *sparse.Matrix
@@ -501,84 +546,78 @@ func (b *csrBuilder) packed() (m *sparse.Matrix, fullSort bool) {
 				// Splice precondition: row r of the previous permuted view
 				// is the same source node, and Inv of pre-existing IDs is
 				// frozen. Both hold only on the sticky path.
-				oldPM = b.lastPM
+				oldPM = s.lastPM
 			}
-			b.spliceRows(pmCol, pmRowPtr, oldPM, func(r int) int32 { return p.Perm[r] }, p.Inv)
+			s.spliceRows(pmCol, pmRowPtr, oldPM, func(r int) int32 { return p.Perm[r] }, p.Inv)
 			pm := sparse.New(n, n, pmRowPtr, pmCol, nil)
-			// Gather the maintained mean scales through the permutation
-			// instead of recomputing (a degree is a degree in any row
-			// order, so the gathered scales are bit-identical).
+			// Gather the mean scales through the permutation instead of
+			// recomputing (a degree is a degree in any row order, so the
+			// gathered scales are bit-identical).
 			pmMean := make([]float64, n)
 			for r, src := range p.Perm {
 				pmMean[r] = meanScale[src]
 			}
 			pm.InstallMeanNormalized(pm.WithValues(nil, pmMean))
 			m.InstallReordered(pm, p)
-			b.lastPM = pm
+			s.lastPM = pm
 		}
 	}
-	b.lastM = m
-	clear(b.colDirty)
+	s.lastM = m
+	clear(s.colDirty)
 	return m, fullSort
 }
 
-// live returns a transient zero-copy slacked view over the builder's own
+// live returns a transient zero-copy slacked view over the store's own
 // buffers, with the sym normalisation pre-installed (sharing the same
-// structure). Valid only until the next mutation; intended for the
-// single-threaded ingest apply loop between cuts.
-func (b *csrBuilder) live() *sparse.Matrix {
-	b.repairSym()
-	n := len(b.end)
-	b.start[n] = b.used
-	adj := sparse.NewSlackedOf[float64](n, n, b.start[:n+1], b.end, b.col, b.ones, b.nnz)
-	adj.InstallSymNormalized(sparse.NewSlackedOf[float64](n, n, b.start[:n+1], b.end, b.col, b.sym, b.nnz))
+// structure), materialising the value buffers on first use. Valid only
+// until the next mutation; intended for the single-threaded ingest
+// apply loop between cuts.
+func (s *rowStore) live() *sparse.Matrix {
+	if s.sym == nil {
+		s.materialiseLive()
+	}
+	s.repairSym()
+	n := len(s.end)
+	s.start[n] = s.used
+	adj := sparse.NewSlackedOf[float64](n, n, s.start, s.end, s.col, s.ones, s.nnz)
+	adj.InstallSymNormalized(sparse.NewSlackedOf[float64](n, n, s.start, s.end, s.col, s.sym, s.nnz))
 	return adj
 }
 
-// EnableCSRPatch turns incremental CSR maintenance on (or off). While
-// enabled, mutations keep a slack-slotted adjacency mirror up to date
-// and CSR() emits patched snapshots — bit-identical to the from-scratch
-// build — instead of re-packing and re-normalising the whole graph.
-// Enabling on a populated graph mirrors the current adjacency once.
+// EnableCSRPatch materialises (on) or releases (off) the live view's
+// sym-normalisation mirror ahead of the first LiveCSR call, which would
+// otherwise materialise it lazily. CSR() always emits spliced snapshots
+// from the rows regardless. Kept because the benchmark harness in
+// perfbench/ calls it.
 func (g *Graph) EnableCSRPatch(on bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if !on {
-		g.inc = nil
-		return
+	switch {
+	case !on:
+		g.rows.sym, g.rows.ones, g.rows.invSqrt, g.rows.symStale = nil, nil, nil, nil
+	case g.rows.sym == nil:
+		g.rows.materialiseLive()
 	}
-	if g.inc == nil {
-		g.inc = newCSRBuilderLocked(g)
-	}
-}
-
-// CSRPatchEnabled reports whether incremental CSR maintenance is on.
-func (g *Graph) CSRPatchEnabled() bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.inc != nil
 }
 
 // LiveCSR returns a transient slack-slotted view of the current
 // adjacency with its sym normalisation pre-installed, sharing the
-// incremental builder's buffers: no packing, no copying, no
-// re-normalisation. The view (and anything derived from it) is only
-// valid until the graph's next mutation, and callers must not retain it
-// across mutations — it is meant for the single-threaded streaming
-// apply loop, which consumes it before applying the next event. When
-// patching is disabled it falls back to the packed CSR() snapshot.
+// store's buffers: no packing, no copying, no re-normalisation. The
+// view (and anything derived from it) is only valid until the graph's
+// next mutation, and callers must not retain it across mutations — it
+// is meant for the single-threaded streaming apply loop, which consumes
+// it before applying the next event. The first call materialises the
+// sym value buffers (8 bytes per slot each for sym and ones); graphs
+// that never ask do not pay for them.
 func (g *Graph) LiveCSR() *sparse.Matrix {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.inc == nil {
-		return g.csrLocked()
-	}
-	return g.inc.live()
+	return g.rows.live()
 }
 
-// AdoptCSR installs a prebuilt packed snapshot (typically the patched
-// CSR of the graph this one was cloned from) as g's cached CSR, so the
-// clone's consumers reuse the snapshot's pre-installed normalisation and
+// AdoptCSR installs a prebuilt packed snapshot (typically the CSR of the
+// graph this one was cloned from) as g's cached CSR, so the clone's
+// consumers reuse the snapshot's pre-installed normalisation and
 // reorder caches instead of rebuilding them. The snapshot must match g's
 // current shape.
 func (g *Graph) AdoptCSR(m *sparse.Matrix) error {
@@ -595,11 +634,11 @@ func (g *Graph) AdoptCSR(m *sparse.Matrix) error {
 	return nil
 }
 
-// CSRPatchStats counts snapshot emissions: Applied are patched emissions
-// (slack-buffer copy-out with repaired normalisation and a reused or
-// merge-repaired permutation), Fallback are from-scratch builds — patch
-// disabled, or the permutation needed a full re-sort (including the
-// first emission above the reorder gate).
+// CSRPatchStats counts snapshot emissions: Applied are emissions that
+// reused or merge-repaired the previous permutation (or needed none,
+// below the reorder gate), Fallback are emissions whose permutation
+// needed a full re-sort (including the first emission above the
+// reorder gate).
 type CSRPatchStats struct {
 	Applied  uint64
 	Fallback uint64
@@ -610,29 +649,4 @@ func (g *Graph) CSRPatchStats() CSRPatchStats {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return CSRPatchStats{Applied: g.patchApplied, Fallback: g.patchFallback}
-}
-
-// DrainDirty is TakeDirty without the per-call allocations: the sorted
-// IDs are written into a buffer owned by the graph and returned as a
-// view, valid until the next DrainDirty call. The single-consumer
-// streaming apply loop drains per event, so the buffer is recycled
-// thousands of times per cut.
-func (g *Graph) DrainDirty() []NodeID {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.drainDirtyLocked()
-}
-
-func (g *Graph) drainDirtyLocked() []NodeID {
-	if len(g.dirty) == 0 {
-		return nil
-	}
-	buf := g.dirtyBuf[:0]
-	for id := range g.dirty {
-		buf = append(buf, id)
-	}
-	clear(g.dirty)
-	slices.Sort(buf)
-	g.dirtyBuf = buf
-	return buf
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,27 +13,104 @@ import (
 	"trail/internal/sparse"
 )
 
-// mutatePair applies one random mutation batch identically to the
-// patched graph and its from-scratch mirror. Both see the same (kind,
-// key) upserts and AddEdge calls in the same order, so node IDs and
-// adjacency entry order — and therefore every derived matrix — must
-// match exactly.
-func mutatePair(rng *rand.Rand, g, mirror *Graph, batch int) {
+// refGraph is the from-scratch oracle the fuzz harness compares the
+// graph against: plain per-node entry lists maintained by the test
+// alone, with AddEdge's contract (no self-loops, at most one edge per
+// (unordered pair, type)), packed into a CSR from scratch on demand.
+type refGraph struct {
+	index map[nodeRef]NodeID
+	rows  [][]refEntry
+}
+
+type refEntry struct {
+	to  NodeID
+	t   EdgeType
+	fwd bool
+}
+
+func newRefGraph() *refGraph { return &refGraph{index: make(map[nodeRef]NodeID)} }
+
+func (r *refGraph) upsert(kind NodeKind, key string) NodeID {
+	ref := nodeRef{kind, key}
+	if id, ok := r.index[ref]; ok {
+		return id
+	}
+	id := NodeID(len(r.rows))
+	r.index[ref] = id
+	r.rows = append(r.rows, nil)
+	return id
+}
+
+func (r *refGraph) addEdge(u, v NodeID, t EdgeType) bool {
+	if u == v {
+		return false
+	}
+	for _, e := range r.rows[u] {
+		if e.to == v && e.t == t {
+			return false
+		}
+	}
+	r.rows[u] = append(r.rows[u], refEntry{v, t, true})
+	r.rows[v] = append(r.rows[v], refEntry{u, t, false})
+	return true
+}
+
+// csr packs the reference rows into a fresh CSR, the from-scratch build
+// every spliced emission must equal bit for bit.
+func (r *refGraph) csr() *sparse.Matrix {
+	n := len(r.rows)
+	rowPtr := make([]int, n+1)
+	for i, row := range r.rows {
+		rowPtr[i+1] = rowPtr[i] + len(row)
+	}
+	colIdx := make([]int32, 0, rowPtr[n])
+	for _, row := range r.rows {
+		for _, e := range row {
+			colIdx = append(colIdx, int32(e.to))
+		}
+	}
+	return sparse.New(n, n, rowPtr, colIdx, nil)
+}
+
+// checkRows asserts g's rows hold exactly the reference entries — the
+// neighbour, type and direction of every entry, in order.
+func checkRows(t *testing.T, g *Graph, ref *refGraph, tag string) {
+	t.Helper()
+	if g.NumNodes() != len(ref.rows) {
+		t.Fatalf("%s: %d nodes, reference %d", tag, g.NumNodes(), len(ref.rows))
+	}
+	for id, want := range ref.rows {
+		var got []refEntry
+		g.NeighborEdges(NodeID(id), func(to NodeID, et EdgeType, fwd bool) bool {
+			got = append(got, refEntry{to, et, fwd})
+			return true
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: row %d = %v, reference %v", tag, id, got, want)
+		}
+	}
+}
+
+// mutatePair applies one random mutation batch identically to the graph
+// and the reference. Both see the same (kind, key) upserts and AddEdge
+// calls in the same order, so node IDs and adjacency entry order — and
+// therefore every derived matrix — must match exactly.
+func mutatePair(rng *rand.Rand, g *Graph, ref *refGraph, batch int) {
 	for op := 0; op < batch; op++ {
 		if g.NumNodes() < 4 || rng.Intn(3) == 0 {
 			kind := NodeKind(rng.Intn(int(numKinds)))
 			key := fmt.Sprintf("n-%d", rng.Intn(200))
-			g.Upsert(kind, key)
-			mirror.Upsert(kind, key)
+			id, _ := g.Upsert(kind, key)
+			if id != ref.upsert(kind, key) {
+				panic("fuzz reference diverged on Upsert")
+			}
 		} else {
 			n := g.NumNodes()
 			u := NodeID(rng.Intn(n))
 			v := NodeID(rng.Intn(n))
 			t := EdgeType(rng.Intn(int(numEdgeTypes)))
-			a := g.AddEdge(u, v, t)
-			b := mirror.AddEdge(u, v, t)
-			if a != b {
-				panic("fuzz mirrors diverged on AddEdge result")
+			if g.AddEdge(u, v, t) != ref.addEdge(u, v, t) {
+				panic("fuzz reference diverged on AddEdge result")
 			}
 		}
 	}
@@ -74,12 +152,12 @@ func i32Eq(a, b []int32) bool {
 	return true
 }
 
-// checkPatchedEqualsRebuilt asserts the patched graph's CSR snapshot —
+// checkPatchedEqualsRebuilt asserts the graph's spliced CSR snapshot —
 // structure, values, normalisation caches, reordered view — is
-// bit-identical to the mirror's from-scratch build.
-func checkPatchedEqualsRebuilt(t *testing.T, g, mirror *Graph, tag string) {
+// bit-identical to the reference's from-scratch build.
+func checkPatchedEqualsRebuilt(t *testing.T, g *Graph, ref *refGraph, tag string) {
 	t.Helper()
-	pc, rc := g.CSR(), mirror.CSR()
+	pc, rc := g.CSR(), ref.csr()
 	if pc.Rows != rc.Rows || pc.NNZ() != rc.NNZ() {
 		t.Fatalf("%s: shape %dx%d/%d vs %dx%d/%d", tag, pc.Rows, pc.Cols, pc.NNZ(), rc.Rows, rc.Cols, rc.NNZ())
 	}
@@ -99,8 +177,8 @@ func checkPatchedEqualsRebuilt(t *testing.T, g, mirror *Graph, tag string) {
 	}
 	// The permutation itself is a locality cache, not part of the
 	// snapshot identity: the sticky scheme keeps the previous order under
-	// bounded degree drift, so it may legitimately differ from the
-	// mirror's fresh degree sort. What is pinned instead: the emitted
+	// bounded degree drift, so it may legitimately differ from a fresh
+	// degree sort. What is pinned instead: the emitted
 	// permuted view must be exactly the reference gather of the (already
 	// bit-identical) base under its own permutation, its installed
 	// normalisation caches must match lazy recomputation, and permuted
@@ -165,13 +243,14 @@ func mustPerm(m *sparse.Matrix) *sparse.Permutation {
 }
 
 // checkLiveMatches asserts the transient slacked view exposes exactly
-// the mirror's packed rows (adjacency and sym values) without emitting.
-func checkLiveMatches(t *testing.T, g, mirror *Graph, tag string) {
+// the reference's packed rows (adjacency and sym values) without
+// emitting.
+func checkLiveMatches(t *testing.T, g *Graph, ref *refGraph, tag string) {
 	t.Helper()
 	lv := g.LiveCSR()
-	rc := mirror.CSR()
+	rc := ref.csr()
 	if !lv.Slacked() {
-		t.Fatalf("%s: LiveCSR returned a packed matrix with patching on", tag)
+		t.Fatalf("%s: LiveCSR returned a packed matrix", tag)
 	}
 	if lv.Rows != rc.Rows || lv.NNZ() != rc.NNZ() {
 		t.Fatalf("%s: live shape %d/%d vs %d/%d", tag, lv.Rows, lv.NNZ(), rc.Rows, rc.NNZ())
@@ -194,10 +273,12 @@ func checkLiveMatches(t *testing.T, g, mirror *Graph, tag string) {
 	}
 }
 
-// TestCSRPatchFuzz replays randomized mutation sequences into a patched
-// graph and a from-scratch mirror and pins bit-identity of every emitted
-// artefact after every batch — the incremental-CSR correctness contract.
-// It also exercises the ReadFrom re-mirror and forced slot compaction.
+// TestCSRPatchFuzz replays randomized mutation sequences into a graph
+// and the test-side reference and pins bit-identity of every emitted
+// artefact after every batch against the reference's from-scratch pack —
+// the incremental-CSR correctness contract. It also exercises
+// persistence round-trips (which must rebuild the rows exactly), live
+// view release and re-materialisation, and forced slot compaction.
 func TestCSRPatchFuzz(t *testing.T) {
 	defer func(n, c int) { sparse.ReorderMinRows = n; csrCompactMinSlots = c }(sparse.ReorderMinRows, csrCompactMinSlots)
 	sparse.ReorderMinRows = 8 // exercise perm repair (and its full-sort fallback) on small graphs
@@ -205,36 +286,78 @@ func TestCSRPatchFuzz(t *testing.T) {
 
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g, mirror := New(), New()
-		g.EnableCSRPatch(true)
+		g, ref := New(), newRefGraph()
+		if seed%2 == 0 {
+			g.EnableCSRPatch(true) // eager live mirror; odd seeds materialise it lazily
+		}
 		for batch := 0; batch < 25; batch++ {
-			mutatePair(rng, g, mirror, 1+rng.Intn(12))
+			mutatePair(rng, g, ref, 1+rng.Intn(12))
 			tag := fmt.Sprintf("seed %d batch %d", seed, batch)
-			checkLiveMatches(t, g, mirror, tag)
-			checkPatchedEqualsRebuilt(t, g, mirror, tag)
+			checkRows(t, g, ref, tag)
+			checkLiveMatches(t, g, ref, tag)
+			checkPatchedEqualsRebuilt(t, g, ref, tag)
 
+			if batch%7 == 3 {
+				g.EnableCSRPatch(false) // the next LiveCSR re-materialises
+			}
 			if batch%10 == 9 {
-				// Persistence round-trip must re-mirror the builder. The
-				// round-trip canonicalises adjacency entry order (edges
-				// replay sorted by source), so the mirror round-trips too.
-				for _, gr := range []*Graph{g, mirror} {
-					var buf bytes.Buffer
-					if _, err := gr.WriteTo(&buf); err != nil {
-						t.Fatalf("%s: WriteTo: %v", tag, err)
-					}
-					if _, err := gr.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
-						t.Fatalf("%s: ReadFrom: %v", tag, err)
-					}
+				var buf bytes.Buffer
+				if _, err := g.WriteTo(&buf); err != nil {
+					t.Fatalf("%s: WriteTo: %v", tag, err)
 				}
-				if !g.CSRPatchEnabled() {
-					t.Fatalf("%s: ReadFrom dropped the patch builder", tag)
+				if _, err := g.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+					t.Fatalf("%s: ReadFrom: %v", tag, err)
 				}
-				checkPatchedEqualsRebuilt(t, g, mirror, tag+" post-roundtrip")
+				checkRows(t, g, ref, tag+" post-roundtrip")
+				checkPatchedEqualsRebuilt(t, g, ref, tag+" post-roundtrip")
 			}
 		}
 		st := g.CSRPatchStats()
 		if st.Applied == 0 {
 			t.Fatalf("seed %d: no patched emissions recorded (applied=%d fallback=%d)", seed, st.Applied, st.Fallback)
+		}
+	}
+}
+
+// TestReplayOrderRebuildsRows pins the derived persistence order on
+// random multigraphs with hubs and parallel edges of different types:
+// replaying WriteTo's edge order rebuilds every row entry-for-entry, and
+// re-saving the loaded graph writes the same bytes.
+func TestReplayOrderRebuildsRows(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, ref := New(), newRefGraph()
+		n := 2 + rng.Intn(30)
+		for i := 0; i < n; i++ {
+			g.Upsert(KindIP, fmt.Sprintf("n-%d", i))
+			ref.upsert(KindIP, fmt.Sprintf("n-%d", i))
+		}
+		hubs := 1 + rng.Intn(min(3, n))
+		for e := rng.Intn(6 * n); e > 0; e-- {
+			u := NodeID(rng.Intn(n))
+			if rng.Intn(2) == 0 {
+				u = NodeID(rng.Intn(hubs))
+			}
+			v := NodeID(rng.Intn(n))
+			et := EdgeType(rng.Intn(int(numEdgeTypes)))
+			if g.AddEdge(u, v, et) != ref.addEdge(u, v, et) {
+				t.Fatalf("seed %d: reference diverged", seed)
+			}
+		}
+		var first, second bytes.Buffer
+		if _, err := g.WriteTo(&first); err != nil {
+			t.Fatal(err)
+		}
+		loaded := New()
+		if _, err := loaded.ReadFrom(bytes.NewReader(first.Bytes())); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		checkRows(t, loaded, ref, fmt.Sprintf("seed %d", seed))
+		if _, err := loaded.WriteTo(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("seed %d: re-saved snapshot differs", seed)
 		}
 	}
 }
@@ -245,9 +368,9 @@ func TestCSRPatchFuzz(t *testing.T) {
 // builder.
 func TestCSRPatchConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	g, mirror := New(), New()
+	g, ref := New(), newRefGraph()
 	g.EnableCSRPatch(true)
-	mutatePair(rng, g, mirror, 200)
+	mutatePair(rng, g, ref, 200)
 
 	snaps := make(chan *sparse.Matrix, 64)
 	var wg sync.WaitGroup
@@ -267,7 +390,7 @@ func TestCSRPatchConcurrentReaders(t *testing.T) {
 		}()
 	}
 	for batch := 0; batch < 50; batch++ {
-		mutatePair(rng, g, mirror, 5)
+		mutatePair(rng, g, ref, 5)
 		m := g.CSR()
 		for r := 0; r < 4; r++ {
 			snaps <- m
@@ -275,7 +398,7 @@ func TestCSRPatchConcurrentReaders(t *testing.T) {
 	}
 	close(snaps)
 	wg.Wait()
-	checkPatchedEqualsRebuilt(t, g, mirror, "final")
+	checkPatchedEqualsRebuilt(t, g, ref, "final")
 }
 
 // TestAdoptCSR pins the clone warm-up path: a serialisation clone adopts
@@ -283,9 +406,8 @@ func TestCSRPatchConcurrentReaders(t *testing.T) {
 // rejected.
 func TestAdoptCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g, mirror := New(), New()
-	g.EnableCSRPatch(true)
-	mutatePair(rng, g, mirror, 120)
+	g := New()
+	mutatePair(rng, g, newRefGraph(), 120)
 
 	var buf bytes.Buffer
 	if _, err := g.WriteTo(&buf); err != nil {
@@ -345,23 +467,5 @@ func TestDrainDirtyNoAlloc(t *testing.T) {
 	second := g.DrainDirty()
 	if &first[0] != &second[0] {
 		t.Fatal("DrainDirty did not recycle its buffer")
-	}
-}
-
-// TestTakeDirtyStillCopies guards the legacy contract: TakeDirty hands
-// out a caller-owned slice, not the recycled view.
-func TestTakeDirtyStillCopies(t *testing.T) {
-	g := New()
-	g.Upsert(KindIP, "a")
-	g.TrackDirty(true)
-	g.Upsert(KindIP, "b")
-	took := g.TakeDirty()
-	g.Upsert(KindIP, "c")
-	drained := g.DrainDirty()
-	if len(took) != 1 || len(drained) != 1 {
-		t.Fatalf("took %d drained %d, want 1 and 1", len(took), len(drained))
-	}
-	if &took[0] == &drained[0] {
-		t.Fatal("TakeDirty returned the recycled buffer")
 	}
 }

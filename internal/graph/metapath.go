@@ -27,24 +27,6 @@ func AllEdgeTypes() EdgeTypeSet {
 	return NewEdgeTypeSet(EdgeInReport, EdgeARecord, EdgeInGroup, EdgeResolvesTo, EdgeHostedOn)
 }
 
-// FilteredAdjacency returns an adjacency snapshot containing only edges
-// whose type is in the set. Shape matches Graph.Adjacency.
-func (g *Graph) FilteredAdjacency(types EdgeTypeSet) [][]NodeID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([][]NodeID, len(g.adj))
-	for u, hes := range g.adj {
-		var row []NodeID
-		for _, he := range hes {
-			if types.Has(he.Type) {
-				row = append(row, he.To)
-			}
-		}
-		out[u] = row
-	}
-	return out
-}
-
 // MetaPathBFS returns hop distances from src walking only edges whose
 // types appear in the pattern, in order: hop h may only use edge types in
 // pattern[h-1]. A nil pattern entry set (zero value) blocks expansion at
@@ -57,11 +39,11 @@ func (g *Graph) FilteredAdjacency(types EdgeTypeSet) [][]NodeID {
 func (g *Graph) MetaPathBFS(src NodeID, pattern []EdgeTypeSet) []int32 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	dist := make([]int32, len(g.adj))
+	dist := make([]int32, len(g.nodes))
 	for i := range dist {
 		dist[i] = -1
 	}
-	if int(src) >= len(g.adj) {
+	if int(src) >= len(g.nodes) {
 		return dist
 	}
 	dist[src] = 0
@@ -70,13 +52,11 @@ func (g *Graph) MetaPathBFS(src NodeID, pattern []EdgeTypeSet) []int32 {
 		allowed := pattern[depth]
 		var next []NodeID
 		for _, u := range frontier {
-			for _, he := range g.adj[u] {
-				if !allowed.Has(he.Type) {
-					continue
-				}
-				if dist[he.To] < 0 {
-					dist[he.To] = int32(depth + 1)
-					next = append(next, he.To)
+			for k := g.rows.start[u]; k < g.rows.end[u]; k++ {
+				v := NodeID(g.rows.col[k])
+				if allowed.Has(g.rows.meta[k].typ()) && dist[v] < 0 {
+					dist[v] = int32(depth + 1)
+					next = append(next, v)
 				}
 			}
 		}
@@ -89,18 +69,20 @@ func (g *Graph) MetaPathBFS(src NodeID, pattern []EdgeTypeSet) []int32 {
 // reported IOC with the given event (the paper's "direct resource reuse"
 // relation), with the number of shared IOCs per event.
 func (g *Graph) CoOccurringEvents(event NodeID) map[NodeID]int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	r := &g.rows
 	out := make(map[NodeID]int)
-	g.NeighborEdges(event, func(iocNode NodeID, t EdgeType, _ bool) bool {
-		if t != EdgeInReport {
-			return true
+	for k := r.start[event]; k < r.end[event]; k++ {
+		if r.meta[k].typ() != EdgeInReport {
+			continue
 		}
-		g.NeighborEdges(iocNode, func(other NodeID, t2 EdgeType, _ bool) bool {
-			if t2 == EdgeInReport && other != event {
+		ioc := r.col[k]
+		for q := r.start[ioc]; q < r.end[ioc]; q++ {
+			if other := NodeID(r.col[q]); r.meta[q].typ() == EdgeInReport && other != event {
 				out[other]++
 			}
-			return true
-		})
-		return true
-	})
+		}
+	}
 	return out
 }

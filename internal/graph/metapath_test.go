@@ -35,21 +35,6 @@ func TestEdgeTypeSet(t *testing.T) {
 	}
 }
 
-func TestFilteredAdjacency(t *testing.T) {
-	g, ev1, _, ip1, dom1, asn1 := buildSchemaGraph(t)
-	adj := g.FilteredAdjacency(NewEdgeTypeSet(EdgeInReport))
-	if len(adj[ev1]) != 1 || adj[ev1][0] != ip1 {
-		t.Fatalf("ev1 filtered adjacency %v", adj[ev1])
-	}
-	// ip1 keeps only the InReport edge back to ev1, not ARecord/InGroup.
-	if len(adj[ip1]) != 1 || adj[ip1][0] != ev1 {
-		t.Fatalf("ip1 filtered adjacency %v", adj[ip1])
-	}
-	if len(adj[asn1]) != 0 || len(adj[dom1]) != 1 {
-		t.Fatal("filtered adjacency leaked edge types")
-	}
-}
-
 func TestMetaPathBFS(t *testing.T) {
 	g, ev1, ev2, ip1, dom1, asn1 := buildSchemaGraph(t)
 

@@ -5,16 +5,17 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"trail/internal/ckpt"
 )
 
 // snapshot is the gob-serialisable form of a Graph. Edges are stored once
-// in their forward (schema) direction, in insertion order: ReadFrom
-// replays them in sequence, so the deserialised adjacency lists match the
-// writer's entry order bit-for-bit. That order-faithfulness is what lets
-// the streaming ingest publish path hand a patched CSR snapshot straight
-// to a deserialised clone (graph.AdoptCSR) instead of re-packing it.
+// in their forward (schema) direction, in a replay order: ReadFrom
+// inserts them in sequence, so the deserialised rows match the writer's
+// entry order bit-for-bit. That order-faithfulness is what lets the
+// streaming ingest publish path hand a patched CSR snapshot straight to
+// a deserialised clone (graph.AdoptCSR) instead of re-packing it.
 type snapshot struct {
 	Version int
 	Nodes   []Node
@@ -37,12 +38,16 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 		EdgeV:   make([]NodeID, 0, g.edgeCount),
 		EdgeT:   make([]EdgeType, 0, g.edgeCount),
 	}
-	for _, e := range g.log {
-		snap.EdgeU = append(snap.EdgeU, e.u)
-		snap.EdgeV = append(snap.EdgeV, e.v)
-		snap.EdgeT = append(snap.EdgeT, e.t)
-	}
+	g.rows.replayOrder(func(u, v NodeID, t EdgeType) {
+		snap.EdgeU = append(snap.EdgeU, u)
+		snap.EdgeV = append(snap.EdgeV, v)
+		snap.EdgeT = append(snap.EdgeT, t)
+	})
+	edges := g.edgeCount
 	g.mu.RUnlock()
+	if len(snap.EdgeU) != edges {
+		return 0, fmt.Errorf("graph: encode snapshot: replay order covers %d of %d edges", len(snap.EdgeU), edges)
+	}
 
 	cw := &countingWriter{w: w}
 	if err := gob.NewEncoder(cw).Encode(&snap); err != nil {
@@ -51,8 +56,50 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
+// replayOrder calls emit once per edge, in forward orientation, in an
+// order whose replay through AddEdge rebuilds every row entry-for-entry.
+// Rows are append-only, so each row lists its edges in insertion order,
+// and an edge may be replayed once it heads the unreplayed remainder of
+// both its endpoints' rows. A Kahn-style queue seeded in node-ID order
+// pops a node, emits edges off the head of its row while they are
+// ready, and queues the partner of each emitted edge, whose head just
+// moved: O(V+E) and deterministic. The true insertion history is one
+// valid order, so some head is always ready until every edge is out
+// (the earliest-inserted unreplayed edge heads both its rows). Matching
+// a head to its partner entry relies on the store's invariants: no
+// self-loops and at most one edge per (unordered pair, type).
+func (s *rowStore) replayOrder(emit func(u, v NodeID, t EdgeType)) {
+	n := len(s.end)
+	head := slices.Clone(s.start[:n])
+	queue := make([]NodeID, n, n+s.nnz/2) // n seeds + one re-queue per edge
+	for i := range queue {
+		queue[i] = NodeID(i)
+	}
+	for q := 0; q < len(queue); q++ {
+		u := queue[q]
+		for k := head[u]; k < s.end[u]; k = head[u] {
+			v, m := NodeID(s.col[k]), s.meta[k]
+			kv := head[v]
+			if kv == s.end[v] || s.col[kv] != int32(u) || s.meta[kv] != m^fwdBit {
+				break // v reaches this edge later and re-queues u then
+			}
+			head[u]++
+			head[v]++
+			if m.fwd() {
+				emit(u, v, m.typ())
+			} else {
+				emit(v, u, m.typ())
+			}
+			queue = append(queue, v)
+		}
+	}
+}
+
 // ReadFrom replaces the contents of g with a snapshot previously written
-// by WriteTo.
+// by WriteTo. Snapshots are validated as they are replayed: node IDs and
+// kinds, edge endpoints and types must be in range, and self-loops or
+// repeated (pair, type) edges — which AddEdge would never have stored —
+// are rejected.
 func (g *Graph) ReadFrom(r io.Reader) (int64, error) {
 	cr := &countingReader{r: r}
 	var snap snapshot
@@ -68,8 +115,6 @@ func (g *Graph) ReadFrom(r io.Reader) (int64, error) {
 
 	fresh := New()
 	fresh.nodes = snap.Nodes
-	fresh.adj = make([][]HalfEdge, len(snap.Nodes))
-	fresh.out = make([][]bool, len(snap.Nodes))
 	for i := range fresh.nodes {
 		n := &fresh.nodes[i]
 		if n.ID != NodeID(i) {
@@ -81,36 +126,35 @@ func (g *Graph) ReadFrom(r io.Reader) (int64, error) {
 		fresh.index[nodeRef{n.Kind, n.Key}] = n.ID
 		fresh.kindCount[n.Kind]++
 	}
+	deg := make([]int, len(snap.Nodes))
 	for i := range snap.EdgeU {
 		u, v, t := snap.EdgeU[i], snap.EdgeV[i], snap.EdgeT[i]
-		if int(u) >= len(fresh.nodes) || int(v) >= len(fresh.nodes) || t >= numEdgeTypes {
+		if u < 0 || v < 0 || int(u) >= len(deg) || int(v) >= len(deg) || t >= numEdgeTypes {
 			return cr.n, fmt.Errorf("graph: corrupt snapshot: edge %d out of range", i)
 		}
-		fresh.adj[u] = append(fresh.adj[u], HalfEdge{To: v, Type: t})
-		fresh.out[u] = append(fresh.out[u], true)
-		fresh.adj[v] = append(fresh.adj[v], HalfEdge{To: u, Type: t})
-		fresh.out[v] = append(fresh.out[v], false)
-		fresh.log = append(fresh.log, logEdge{u: u, v: v, t: t})
-		fresh.edgeCount++
-		fresh.typeCount[t]++
+		if u == v {
+			return cr.n, fmt.Errorf("graph: corrupt snapshot: edge %d is a self-loop on node %d", i, u)
+		}
+		deg[u]++
+		deg[v]++
+	}
+	fresh.rows.layout(deg)
+	for i := range snap.EdgeU {
+		u, v, t := snap.EdgeU[i], snap.EdgeV[i], snap.EdgeT[i]
+		if !fresh.addEdgeLocked(u, v, t) {
+			return cr.n, fmt.Errorf("graph: corrupt snapshot: edge %d (%d-%d, %s) repeats an earlier edge", i, u, v, t)
+		}
 	}
 
 	g.mu.Lock()
 	g.nodes = fresh.nodes
-	g.adj = fresh.adj
-	g.out = fresh.out
-	g.log = fresh.log
+	g.rows = fresh.rows
 	g.index = fresh.index
 	g.edgeCount = fresh.edgeCount
 	g.kindCount = fresh.kindCount
 	g.typeCount = fresh.typeCount
 	g.csr = nil
 	g.version++
-	if g.inc != nil {
-		// The incremental mirror describes the replaced adjacency;
-		// re-mirror the loaded one so patched snapshots stay exact.
-		g.inc = newCSRBuilderLocked(g)
-	}
 	g.mu.Unlock()
 	return cr.n, nil
 }

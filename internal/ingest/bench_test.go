@@ -87,53 +87,44 @@ var cutWorldBytes = sync.OnceValue(func() []byte {
 // graph-engine work between "delta events arrive" and "a serving
 // snapshot chain is ready" — per event, the streaming label-propagation
 // operator refresh (LiveCSR + sym normalisation, exactly what the
-// pipeline's apply loop runs), then the packed snapshot emission and its
-// serving-side consumers (float32 cast, degree reorder, mean
-// normalisation). patch maintains the slack-slotted mirror and splices
-// snapshots from the previous emission; rebuild is the pre-incremental
-// behaviour — every event re-packs and re-normalises the whole graph
-// from scratch.
+// pipeline's apply loop runs), then the packed snapshot emission spliced
+// from the previous one and its serving-side consumers (float32 cast,
+// degree reorder, mean normalisation).
 func BenchmarkIngestCut(b *testing.B) {
 	base := cutWorldBytes()
 	for _, delta := range []int{1, 10, 100, 1000} {
-		for _, patch := range []bool{true, false} {
-			name := "rebuild"
-			if patch {
-				name = "patch"
+		b.Run(fmt.Sprintf("delta=%d/patch", delta), func(b *testing.B) {
+			g := graph.New()
+			if _, err := g.ReadFrom(bytes.NewReader(base)); err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("delta=%d/%s", delta, name), func(b *testing.B) {
-				g := graph.New()
-				if _, err := g.ReadFrom(bytes.NewReader(base)); err != nil {
-					b.Fatal(err)
-				}
-				g.EnableCSRPatch(patch)
-				rng := rand.New(rand.NewSource(11))
-				g.CSR() // warm: the first emission always full-sorts
-				seq := 0
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for e := 0; e < delta; e++ {
-						// One synthetic event-shaped delta: a fresh event node
-						// plus report edges to existing IOCs, interleaved with
-						// the operator refresh the apply loop runs per event.
-						id, _ := g.Upsert(graph.KindEvent, fmt.Sprintf("cutbench-%d", seq))
-						seq++
-						n := g.NumNodes()
-						for j := 0; j < 8; j++ {
-							g.AddEdge(id, graph.NodeID(rng.Intn(n-1)), graph.EdgeInReport)
-						}
-						if g.LiveCSR().SymNormalized() == nil {
-							b.Fatal("nil sym")
-						}
+			g.EnableCSRPatch(true)
+			rng := rand.New(rand.NewSource(11))
+			g.CSR() // warm: the first emission always full-sorts
+			seq := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for e := 0; e < delta; e++ {
+					// One synthetic event-shaped delta: a fresh event node
+					// plus report edges to existing IOCs, interleaved with
+					// the operator refresh the apply loop runs per event.
+					id, _ := g.Upsert(graph.KindEvent, fmt.Sprintf("cutbench-%d", seq))
+					seq++
+					n := g.NumNodes()
+					for j := 0; j < 8; j++ {
+						g.AddEdge(id, graph.NodeID(rng.Intn(n-1)), graph.EdgeInReport)
 					}
-					c := sparse.Cast[float32](g.CSR())
-					rm, _ := c.Reordered()
-					if rm.MeanNormalized() == nil {
-						b.Fatal("nil mean")
+					if g.LiveCSR().SymNormalized() == nil {
+						b.Fatal("nil sym")
 					}
 				}
-			})
-		}
+				c := sparse.Cast[float32](g.CSR())
+				rm, _ := c.Reordered()
+				if rm.MeanNormalized() == nil {
+					b.Fatal("nil mean")
+				}
+			}
+		})
 	}
 }

@@ -111,12 +111,6 @@ type Config struct {
 	// the evolving graph. Either <= 0 disables it.
 	Classes, Layers int
 
-	// CSRRebuild disables incremental CSR maintenance (graph.EnableCSRPatch):
-	// every propagation pass re-packs and re-normalises the whole graph
-	// from scratch, the pre-patch behaviour. The A/B lever for the
-	// cut-latency experiments; leave false in production.
-	CSRRebuild bool
-
 	// QueueDepth bounds the admission queue (default 256).
 	QueueDepth int
 	// EnqueueWait is how long Submit may block on a full queue before
@@ -320,8 +314,8 @@ func (p *Pipeline) initMetrics() {
 	m.publishes = r.Counter("trail_ingest_publishes_total", "Snapshots handed to the publish callback.")
 	m.publishSkipped = r.Counter("trail_ingest_publish_skipped_total", "Snapshots superseded before the publish callback consumed them.")
 	m.walErrors = r.Counter("trail_ingest_wal_errors_total", "WAL append/sync failures (the affected event is dropped).")
-	m.patchApplied = r.Counter("trail_csr_patch_applied_total", "CSR snapshots emitted as incremental patches (delta repair, no full rebuild).")
-	m.patchFallback = r.Counter("trail_csr_patch_fallback_total", "CSR snapshots built from scratch (patching disabled, or the delta forced a full permutation re-sort).")
+	m.patchApplied = r.Counter("trail_csr_patch_applied_total", "CSR snapshots emitted with a reused or merge-repaired permutation.")
+	m.patchFallback = r.Counter("trail_csr_patch_fallback_total", "CSR snapshots whose permutation needed a full re-sort.")
 	m.cutSeconds = r.Histogram("trail_ingest_cut_seconds", "Wall time of a cut: WAL sync, state checkpoint, snapshot hand-off.", metrics.DefBuckets())
 	m.dirtyFrontier = r.Gauge("trail_ingest_dirty_frontier", "Rows recomputed by the last incremental label-propagation pass.")
 	m.durableSeq = r.Gauge("trail_ingest_durable_seq", "Highest event sequence number appended to the WAL.")
@@ -416,14 +410,6 @@ func (p *Pipeline) recover() error {
 	p.met.durableSeq.Set(float64(maxSeq))
 	if p.Replayed > 0 {
 		cfg.Logf("ingest: replayed %d WAL events (watermark %d -> %d)", p.Replayed, wm, maxSeq)
-	}
-
-	// Incremental CSR maintenance: mirror the recovered adjacency once,
-	// then every mutation keeps the mirror current and snapshot emissions
-	// are patches instead of full rebuilds — bit-identical by the graph
-	// package's fuzz contract.
-	if !cfg.CSRRebuild {
-		p.tkg.G.EnableCSRPatch(true)
 	}
 
 	// One full label-propagation convergence over the recovered state;
@@ -594,7 +580,7 @@ type Stats struct {
 	DurableSeq, Watermark                                uint64
 	WALBytes                                             int64
 	// CSRPatchApplied / CSRPatchFallback count CSR snapshot emissions by
-	// kind (incremental patch vs. from-scratch rebuild).
+	// kind (reused or merge-repaired permutation vs. full re-sort).
 	CSRPatchApplied, CSRPatchFallback uint64
 	// LastCutSeconds is the wall time of the most recent cut (0 until the
 	// first).
@@ -783,24 +769,20 @@ func (p *Pipeline) cut() {
 	if p.cfg.Publish == nil {
 		return
 	}
-	// The graph snapshot format is order-faithful (edges serialise and
-	// replay in insertion order), so the clone's adjacency is bit-for-bit
-	// the live graph's — and insertion order itself is crash-schedule
-	// independent, because recovery replays the WAL in sequence order over
-	// a checkpoint that preserved it. That makes the live graph's patched
-	// CSR emission directly adoptable: the published snapshot chain starts
-	// from the spliced matrix instead of re-packing the whole graph. In
-	// -csr-rebuild mode the clone keeps the legacy behaviour and builds
-	// its CSR from scratch on first use (the A/B lever).
+	// The graph snapshot format is order-faithful (its replay order
+	// rebuilds every adjacency row entry-for-entry), so the clone's
+	// adjacency is bit-for-bit the live graph's — and row order itself is
+	// crash-schedule independent, because recovery replays the WAL in
+	// sequence order over a checkpoint that preserved it. That makes the
+	// live graph's spliced CSR emission directly adoptable: the published
+	// snapshot chain starts from it instead of re-packing the whole graph.
 	clone, err := core.ReadTKGFallible(bytes.NewReader(tkgBuf.Bytes()), p.cfg.Services, p.cfg.Resolver)
 	if err != nil {
 		p.cfg.Logf("ingest: snapshot clone: %v", err)
 		return
 	}
-	if !p.cfg.CSRRebuild {
-		if err := clone.G.AdoptCSR(p.tkg.G.CSR()); err != nil {
-			p.cfg.Logf("ingest: adopt CSR: %v", err)
-		}
+	if err := clone.G.AdoptCSR(p.tkg.G.CSR()); err != nil {
+		p.cfg.Logf("ingest: adopt CSR: %v", err)
 	}
 	pb := published{tkg: clone, watermark: wm}
 	for {

@@ -83,7 +83,7 @@ func PropagateFull(a *sparse.Matrix, seeds map[graph.NodeID]int, classes, layers
 // PropagateDirty re-converges label propagation after a batch of graph
 // mutations, recomputing only the rows the mutations can reach. dirty
 // must contain every structurally-touched vertex of the batch: created
-// nodes and both endpoints of every inserted edge (graph.TakeDirty
+// nodes and both endpoints of every inserted edge (graph.DrainDirty
 // provides exactly this). Seed (label) changes are detected internally
 // by diffing against the state's recorded assignment.
 //

@@ -3,6 +3,7 @@ package labelprop
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"trail/internal/graph"
@@ -41,7 +42,7 @@ func TestPropagateDirtyMatchesFull(t *testing.T) {
 			seeds := make(map[graph.NodeID]int)
 			// Initial population, then a full-history run.
 			randomGrow(rng, g, seeds, 40, 80, 6, classes)
-			g.TakeDirty()
+			g.DrainDirty()
 			st := PropagateFull(g.CSR(), seeds, classes, layers)
 			mattest.BitEqual(t, "initial Z", st.Z, PropagateCSR(g.CSR(), seeds, classes, layers))
 
@@ -59,7 +60,7 @@ func TestPropagateDirtyMatchesFull(t *testing.T) {
 				default:
 					randomGrow(rng, g, seeds, 1, 3, 1, classes)
 				}
-				dirty := g.TakeDirty()
+				dirty := slices.Clone(g.DrainDirty())
 				st = PropagateDirty(g.CSR(), seeds, classes, layers, st, dirty)
 				want := PropagateFull(g.CSR(), seeds, classes, layers)
 				name := fmt.Sprintf("step %d Z", step)
@@ -84,7 +85,7 @@ func TestPropagateDirtySeedRemoval(t *testing.T) {
 	g.TrackDirty(true)
 	seeds := make(map[graph.NodeID]int)
 	randomGrow(rng, g, seeds, 30, 60, 8, classes)
-	g.TakeDirty()
+	g.DrainDirty()
 	st := PropagateFull(g.CSR(), seeds, classes, layers)
 	for id := range seeds {
 		delete(seeds, id)
@@ -102,7 +103,7 @@ func TestPropagateDirtyNoChange(t *testing.T) {
 	g.TrackDirty(true)
 	seeds := make(map[graph.NodeID]int)
 	randomGrow(rng, g, seeds, 20, 40, 4, classes)
-	g.TakeDirty()
+	g.DrainDirty()
 	st := PropagateFull(g.CSR(), seeds, classes, layers)
 	st = PropagateDirty(g.CSR(), seeds, classes, layers, st, nil)
 	if st.LastFrontier != 0 {
@@ -139,11 +140,11 @@ func TestPropagateDirtyMatchesReorderedCSR(t *testing.T) {
 	g.TrackDirty(true)
 	seeds := make(map[graph.NodeID]int)
 	randomGrow(rng, g, seeds, 1400, 4000, 60, classes)
-	g.TakeDirty()
+	g.DrainDirty()
 	st := PropagateFull(g.CSR(), seeds, classes, layers)
 	for step := 0; step < 3; step++ {
 		randomGrow(rng, g, seeds, 5, 20, 2, classes)
-		st = PropagateDirty(g.CSR(), seeds, classes, layers, st, g.TakeDirty())
+		st = PropagateDirty(g.CSR(), seeds, classes, layers, st, slices.Clone(g.DrainDirty()))
 		mattest.BitEqual(t, fmt.Sprintf("step %d vs reordered", step),
 			st.Z, PropagateCSR(g.CSR(), seeds, classes, layers))
 	}

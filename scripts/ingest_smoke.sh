@@ -132,17 +132,4 @@ cmp "$WORK/stA/ingest.ck" "$WORK/stB/ingest.ck" \
 diff -u "$WORK/answersA.txt" "$WORK/answersB.txt" >&2 \
   || fail "recovered attribution answers differ from the uninterrupted run"
 
-say "run C: -csr-rebuild A/B (from-scratch CSR at every cut)"
-start_ingest "$WORK/stC" "$WORK/runC.log" -csr-rebuild
-wait_metric trail_ingest_watermark_seq "$N" 150
-sleep 1
-REBUILT="$(metric trail_csr_patch_applied_total | cut -d. -f1)"
-[ "$REBUILT" -eq 0 ] || fail "-csr-rebuild still patched $REBUILT snapshots"
-answers "$WORK/answersC.txt"
-stop_ingest "$WORK/runC.log"
-cmp "$WORK/stA/ingest.ck" "$WORK/stC/ingest.ck" \
-  || fail "rebuild-mode checkpoint differs from the patched run"
-diff -u "$WORK/answersA.txt" "$WORK/answersC.txt" >&2 \
-  || fail "rebuild-mode attribution answers differ from the patched run"
-
-say "OK: kill -9 at event $DURABLE converged to bit-identical state and answers; patched and rebuilt CSR agree byte-for-byte"
+say "OK: kill -9 at event $DURABLE converged to bit-identical state and answers"
