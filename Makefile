@@ -6,7 +6,7 @@ GO ?= go
 # BENCH_<n>.json when invoked without -baseline.
 BENCH_BASELINE ?= BENCH_10.json
 
-.PHONY: all build test race bench bench-kernels bench-json bench-check bench-harness vet chaos resume smoke serve-smoke ingest-smoke shard-smoke
+.PHONY: all build test race bench bench-kernels bench-json bench-check bench-harness vet loc chaos resume smoke serve-smoke ingest-smoke shard-smoke
 
 all: build test
 
@@ -96,5 +96,12 @@ ingest-smoke:
 shard-smoke:
 	bash scripts/shard_smoke.sh
 
+# vet also fails on any file gofmt would rewrite, and lists those files.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
+
+# loc prints the non-test and test Go line counts per package (see
+# scripts/loc.sh); diff it across two checkouts for a change's net delta.
+loc:
+	bash scripts/loc.sh

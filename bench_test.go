@@ -266,9 +266,9 @@ func BenchmarkLabelPropagationScale(b *testing.B) {
 func BenchmarkMatMul(b *testing.B) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
-	a := mat.RandNormal(rng, 4096, 64, 0, 1)
-	w := mat.RandNormal(rng, 64, 64, 0, 1)
-	dst := mat.New(4096, 64)
+	a := mat.RandNormalOf[float64](rng, 4096, 64, 0, 1)
+	w := mat.RandNormalOf[float64](rng, 64, 64, 0, 1)
+	dst := mat.NewOf[float64](4096, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mat.MatMulInto(dst, a, w)
@@ -293,11 +293,11 @@ func BenchmarkSpMM(b *testing.B) {
 		adj[v] = append(adj[v], graph.NodeID(u))
 	}
 	s := sparse.FromAdj(adj).MeanNormalized()
-	x := mat.RandNormal(rng, n, 64, 0, 1)
-	dst := mat.New(n, 64)
+	x := mat.RandNormalOf[float64](rng, n, 64, 0, 1)
+	dst := mat.NewOf[float64](n, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SpMM(dst, x)
+		s.SpMMInto(dst, x)
 	}
 	b.ReportMetric(float64(s.NNZ()), "nnz")
 }

@@ -400,7 +400,7 @@ func cmdTrain(args []string) error {
 		},
 	}
 	if *resume {
-		if st, err := gnn.LoadTrainState(trainPath); err == nil {
+		if st, err := gnn.LoadTrainStateOf[float64](trainPath); err == nil {
 			tOpts.Resume = st
 			if st.SAGE != nil {
 				totalEpochs = st.SAGE.Config.Epochs

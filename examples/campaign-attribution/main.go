@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,15 +43,15 @@ func main() {
 
 	// Train the models on the base TKG.
 	rfModel, rfScaler := trainIOCForest(tkg, classes)
-	set, err := gnn.TrainEncoders(tkg.G, tkg.Features, gnn.DefaultAEConfig())
+	set, err := gnn.TrainEncodersCtx(context.Background(), tkg.G, tkg.Features, gnn.DefaultAEConfig(), gnn.EncoderTrainOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	in := gnn.BuildInput(tkg.G, tkg.Features, set, classes)
 	events := tkg.EventNodes()
-	sage, err := gnn.Train(in, events, gnn.Config{
+	sage, err := gnn.TrainCtx(in, events, gnn.Config{
 		Layers: 2, Hidden: 48, Encoding: 64, LR: 1e-2, Epochs: 40, Seed: 1,
-	})
+	}, gnn.TrainOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -87,12 +87,11 @@ func (c *Context) lpAccuracy(tkg *core.TKG, layers int) float64 {
 // RunAblationEncoder compares trained autoencoders against random linear
 // projections as the GNN's input encoders (§VI-C).
 func RunAblationEncoder(ctx *Context) (*AblationRow, error) {
-	aeCfg := aeConfigFor(ctx)
-	trained, err := gnn.TrainEncoders(ctx.TKG.G, ctx.TKG.Features, aeCfg)
+	trained, err := ctx.encoders()
 	if err != nil {
 		return nil, err
 	}
-	random := gnn.RandomEncoders(ctx.TKG.G, ctx.TKG.Features, aeCfg)
+	random := gnn.RandomEncodersOf[float64](ctx.TKG.G, ctx.TKG.Features, trained.Config)
 	accT, err := ctx.gnnHoldoutAccuracy(trained, gnn.Config{})
 	if err != nil {
 		return nil, err
@@ -110,7 +109,7 @@ func RunAblationEncoder(ctx *Context) (*AblationRow, error) {
 
 // RunAblationL2Norm compares the Eq. 4 L2 normalisation on and off.
 func RunAblationL2Norm(ctx *Context) (*AblationRow, error) {
-	set, err := gnn.TrainEncoders(ctx.TKG.G, ctx.TKG.Features, aeConfigFor(ctx))
+	set, err := ctx.encoders()
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +156,7 @@ func (c *Context) gnnHoldoutAccuracy(set *gnn.EncoderSet, tmpl gnn.Config) (floa
 		cfg.Hidden = 16
 		cfg.Epochs = 10
 	}
-	model, err := gnn.Train(in, train, cfg)
+	model, err := gnn.TrainCtx(in, train, cfg, gnn.TrainOpts{})
 	if err != nil {
 		return 0, err
 	}

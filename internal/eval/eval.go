@@ -65,6 +65,12 @@ type Context struct {
 	// a single core training it once matters.
 	baseGNNMu sync.Mutex
 	baseGNN   map[int]*baseGNNBundle
+	// encOnce/encSet/encErr memoise encoders(): every GNN experiment but
+	// Table IV feeds the same autoencoders, trained on the unchanging
+	// base TKG.
+	encOnce sync.Once
+	encSet  *gnn.EncoderSet
+	encErr  error
 }
 
 type baseGNNBundle struct {

@@ -73,7 +73,7 @@ func RunUnknownAPTStudy(ctx *Context, heldOut string) (*UnknownAPTResult, error)
 
 	// The TKG itself may contain the held-out group's events (they exist
 	// in the wild); only training excludes them.
-	set, err := gnn.TrainEncoders(ctx.TKG.G, ctx.TKG.Features, aeConfigFor(ctx))
+	set, err := ctx.encoders()
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func RunUnknownAPTStudy(ctx *Context, heldOut string) (*UnknownAPTResult, error)
 		gcfg.Hidden = 16
 		gcfg.Epochs = 10
 	}
-	model, err := gnn.Train(in, train, gcfg)
+	model, err := gnn.TrainCtx(in, train, gcfg, gnn.TrainOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +241,7 @@ func RunZeroShotLP(ctx *Context, aptName string) (*ZeroShotResult, error) {
 // RunAblationSAGEvsGCN compares the paper's GraphSAGE choice against the
 // Eq. 2 GCN baseline on the same holdout split.
 func RunAblationSAGEvsGCN(ctx *Context) (*AblationRow, error) {
-	set, err := gnn.TrainEncoders(ctx.TKG.G, ctx.TKG.Features, aeConfigFor(ctx))
+	set, err := ctx.encoders()
 	if err != nil {
 		return nil, err
 	}
@@ -269,11 +269,11 @@ func RunAblationSAGEvsGCN(ctx *Context) (*AblationRow, error) {
 		cfg.Hidden = 16
 		cfg.Epochs = 10
 	}
-	sage, err := gnn.Train(in, train, cfg)
+	sage, err := gnn.TrainCtx(in, train, cfg, gnn.TrainOpts{})
 	if err != nil {
 		return nil, err
 	}
-	gc, err := gnn.TrainGCN(in, train, cfg)
+	gc, err := gnn.TrainGCNCtx(in, train, cfg, gnn.TrainOpts{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -22,22 +23,21 @@ func (c *Context) trainBaseGNN(layers int) (*gnn.EncoderSet, gnn.Input, *gnn.Mod
 		return b.set, b.in, b.model, nil
 	}
 
-	aeCfg := aeConfigFor(c)
+	set, err := c.encoders()
+	if err != nil {
+		return nil, gnn.Input{}, nil, err
+	}
 	gcfg := gnn.Config{
-		Layers: layers, Hidden: 64, Encoding: aeCfg.Encoding,
+		Layers: layers, Hidden: 64, Encoding: set.Config.Encoding,
 		LR: 1e-2, Epochs: 60, Seed: c.Opts.Seed,
 	}
 	if c.Opts.Fast {
 		gcfg.Hidden = 16
 		gcfg.Epochs = 10
 	}
-	set, err := gnn.TrainEncoders(c.TKG.G, c.TKG.Features, aeCfg)
-	if err != nil {
-		return nil, gnn.Input{}, nil, err
-	}
 	in := gnn.BuildInput(c.TKG.G, c.TKG.Features, set, c.Classes)
 	events := c.TKG.EventNodes()
-	model, err := gnn.Train(in, events, gcfg)
+	model, err := gnn.TrainCtx(in, events, gcfg, gnn.TrainOpts{})
 	if err != nil {
 		return nil, gnn.Input{}, nil, err
 	}
@@ -46,6 +46,15 @@ func (c *Context) trainBaseGNN(layers int) (*gnn.EncoderSet, gnn.Input, *gnn.Mod
 	}
 	c.baseGNN[layers] = &baseGNNBundle{set: set, in: in, model: model}
 	return set, in, model, nil
+}
+
+// encoders returns the autoencoder set trained on the base TKG with
+// aeConfigFor's settings, training it on first use.
+func (c *Context) encoders() (*gnn.EncoderSet, error) {
+	c.encOnce.Do(func() {
+		c.encSet, c.encErr = gnn.TrainEncodersCtx(context.TODO(), c.TKG.G, c.TKG.Features, aeConfigFor(c), gnn.EncoderTrainOpts{})
+	})
+	return c.encSet, c.encErr
 }
 
 // visibleLabels returns a visibility map for every labelled event in g.

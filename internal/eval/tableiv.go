@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -146,7 +147,7 @@ func RunTableIV(ctx *Context, cfg TableIVConfig) (*TableIVResult, error) {
 	// and depths: they are unsupervised and see no labels, so there is no
 	// leakage.
 	if len(cfg.GNNLayers) > 0 {
-		set, err := gnn.TrainEncoders(ctx.TKG.G, ctx.TKG.Features, cfg.AE)
+		set, err := gnn.TrainEncodersCtx(context.TODO(), ctx.TKG.G, ctx.TKG.Features, cfg.AE, gnn.EncoderTrainOpts{})
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +176,7 @@ func RunTableIV(ctx *Context, cfg TableIVConfig) (*TableIVResult, error) {
 						Epochs:   cfg.GNNEpochs,
 						Seed:     ctx.Opts.Seed + int64(fi),
 					}
-					model, err := gnn.Train(in, trainIDs, gcfg)
+					model, err := gnn.TrainCtx(in, trainIDs, gcfg, gnn.TrainOpts{})
 					if err != nil {
 						errs[fi] = err
 						return

@@ -52,7 +52,7 @@ func (s *SHAP) values(rng *rand.Rand, x []float64, class int) []float64 {
 	// row, switch features to x's values one at a time in permutation
 	// order; the probability delta at each switch is that feature's
 	// marginal contribution.
-	batch := mat.New(d+1, d)
+	batch := mat.NewOf[float64](d+1, d)
 	for p := 0; p < perms; p++ {
 		bg := s.Background.Row(rng.Intn(s.Background.Rows))
 		perm := rng.Perm(d)
@@ -78,7 +78,7 @@ func (s *SHAP) values(rng *rand.Rand, x []float64, class int) []float64 {
 // per sample) — the data behind a beeswarm plot.
 func (s *SHAP) Matrix(X *mat.Matrix, class int) *mat.Matrix {
 	rng := rand.New(rand.NewSource(s.Seed))
-	out := mat.New(X.Rows, X.Cols)
+	out := mat.NewOf[float64](X.Rows, X.Cols)
 	for i := 0; i < X.Rows; i++ {
 		copy(out.Row(i), s.values(rng, X.Row(i), class))
 	}

@@ -12,7 +12,7 @@ import (
 
 // linearish builds a 2-class dataset where only feature 0 matters.
 func linearish(rng *rand.Rand, n, d int) (*mat.Matrix, []int) {
-	X := mat.New(n, d)
+	X := mat.NewOf[float64](n, d)
 	y := make([]int, n)
 	for i := 0; i < n; i++ {
 		row := X.Row(i)

@@ -6,13 +6,12 @@
 // stdlib.
 //
 // Every model in the package is generic over the storage precision
-// (float32 or float64, mat.Float). The exported float64 aliases —
-// Model, GCN, Autoencoder, EncoderSet, Input — keep existing call sites
-// unchanged and are the numerical reference; the float32 instantiations
-// halve weight/activation bandwidth and are pinned to the reference
-// within tolerance by the equivalence tests. Scalar reductions (losses,
-// norms, Adam moments) accumulate in float64 at every precision, per
-// internal/mat's package contract.
+// (float32 or float64, mat.Float). The float64 instantiation — named by
+// the aliases Model, EncoderSet and Input — is the numerical reference;
+// the float32 instantiations halve weight/activation bandwidth and are
+// pinned to the reference within tolerance by the equivalence tests.
+// Scalar reductions (losses, norms, Adam moments) accumulate in float64
+// at every precision, per internal/mat's package contract.
 package gnn
 
 import (
@@ -145,12 +144,6 @@ type AutoencoderOf[T mat.Float] struct {
 	inDim                  int
 }
 
-// Autoencoder is the float64 reference instantiation of AutoencoderOf.
-type Autoencoder = AutoencoderOf[float64]
-
-// NewAutoencoder returns an untrained float64 autoencoder.
-func NewAutoencoder(cfg AEConfig) *Autoencoder { return NewAutoencoderOf[float64](cfg) }
-
 // NewAutoencoderOf returns an untrained autoencoder at element type T.
 func NewAutoencoderOf[T mat.Float](cfg AEConfig) *AutoencoderOf[T] {
 	if cfg.Hidden <= 0 {
@@ -183,16 +176,12 @@ func (a *AutoencoderOf[T]) InitRandom(inDim int) {
 	a.dec2 = newLinear[T](rng, a.Config.Hidden, inDim)
 }
 
-// Fit minimises ||X - g(f(X))||^2 with Adam.
-func (a *AutoencoderOf[T]) Fit(X *mat.Dense[T]) error {
-	return a.FitCtx(context.Background(), X)
-}
-
-// FitCtx is Fit with cooperative cancellation at epoch boundaries and a
-// divergence guard on the reconstruction loss.
+// FitCtx minimises ||X - g(f(X))||^2 with Adam, with cooperative
+// cancellation at epoch boundaries and a divergence guard on the
+// reconstruction loss.
 func (a *AutoencoderOf[T]) FitCtx(ctx context.Context, X *mat.Dense[T]) error {
 	if X.Rows == 0 {
-		return errors.New("gnn: Autoencoder.Fit empty input")
+		return errors.New("gnn: Autoencoder.FitCtx empty input")
 	}
 	cfg := a.Config
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -275,7 +264,7 @@ func (a *AutoencoderOf[T]) FitCtx(ctx context.Context, X *mat.Dense[T]) error {
 // Encode projects rows of X into the code space.
 func (a *AutoencoderOf[T]) Encode(X *mat.Dense[T]) *mat.Dense[T] {
 	if a.enc1 == nil {
-		panic("gnn: Autoencoder.Encode before Fit")
+		panic("gnn: Autoencoder.Encode before FitCtx")
 	}
 	h1, _ := reluForward(a.enc1.forward(X))
 	return a.enc2.forward(h1)

@@ -19,7 +19,7 @@ func trainToyModel(t *testing.T) (*Model, Input, map[graph.NodeID]int, []graph.N
 		test = append(test, evs[6:]...)
 	}
 	cfg := Config{Layers: 2, Hidden: 8, Encoding: 16, LR: 1e-2, Epochs: 8, Seed: 1}
-	m, err := Train(in, train, cfg)
+	m, err := TrainCtx(in, train, cfg, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +36,9 @@ func trainToyModel(t *testing.T) (*Model, Input, map[graph.NodeID]int, []graph.N
 func TestPredictProbaIntoMatchesPredictProba(t *testing.T) {
 	m, in, visible, queries := trainToyModel(t)
 
-	ws := mat.NewWorkspace()
+	ws := mat.NewWorkspaceOf[float64]()
 	defer ws.Release()
-	batched := m.PredictProbaInto(mat.New(len(queries), m.Classes()), in, visible, queries, ws)
+	batched := m.PredictProbaInto(mat.NewOf[float64](len(queries), m.Classes()), in, visible, queries, ws)
 
 	for i, q := range queries {
 		single := m.PredictProba(in, visible, []graph.NodeID{q})
@@ -55,12 +55,12 @@ func TestPredictProbaIntoMatchesPredictProba(t *testing.T) {
 // Reset-and-reuse of one workspace across batches changes nothing.
 func TestPredictProbaIntoWorkspaceReuse(t *testing.T) {
 	m, in, visible, queries := trainToyModel(t)
-	ws := mat.NewWorkspace()
+	ws := mat.NewWorkspaceOf[float64]()
 	defer ws.Release()
-	first := m.PredictProbaInto(mat.New(len(queries), m.Classes()), in, visible, queries, ws).Clone()
+	first := m.PredictProbaInto(mat.NewOf[float64](len(queries), m.Classes()), in, visible, queries, ws).Clone()
 	for iter := 0; iter < 3; iter++ {
 		ws.Reset()
-		again := m.PredictProbaInto(mat.New(len(queries), m.Classes()), in, visible, queries, ws)
+		again := m.PredictProbaInto(mat.NewOf[float64](len(queries), m.Classes()), in, visible, queries, ws)
 		for k, v := range again.Data {
 			if v != first.Data[k] {
 				t.Fatalf("iteration %d element %d: %v != %v", iter, k, v, first.Data[k])

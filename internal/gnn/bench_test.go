@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -44,7 +45,7 @@ func benchInput(classes, eventsPerClass, iocsPerClass, encDim int) (Input, []gra
 			}
 		}
 	}
-	enc := mat.New(g.NumNodes(), encDim)
+	enc := mat.NewOf[float64](g.NumNodes(), encDim)
 	for i, row := range encRows {
 		copy(enc.Row(i), row)
 	}
@@ -80,7 +81,7 @@ func BenchmarkSAGETrain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(in, events, cfg); err != nil {
+		if _, err := TrainCtx(in, events, cfg, TrainOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,7 +94,7 @@ func BenchmarkGCNTrain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TrainGCN(in, events, cfg); err != nil {
+		if _, err := TrainGCNCtx(in, events, cfg, TrainOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +106,7 @@ func BenchmarkGCNTrain(b *testing.B) {
 func BenchmarkSAGEPredict(b *testing.B) {
 	in, events := benchInput(6, 60, 120, 64)
 	cfg := benchConfig(2, 12)
-	m, err := Train(in, events, cfg)
+	m, err := TrainCtx(in, events, cfg, TrainOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -128,14 +129,14 @@ func BenchmarkSAGEPredict(b *testing.B) {
 // loop of Eq. 5) on a feature matrix shaped like the URL kind.
 func BenchmarkAEFit(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	X := mat.RandNormal(rng, 2000, 48, 0, 1)
+	X := mat.RandNormalOf[float64](rng, 2000, 48, 0, 1)
 	cfg := DefaultAEConfig()
 	cfg.Epochs = 3
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ae := NewAutoencoder(cfg)
-		if err := ae.Fit(X); err != nil {
+		ae := NewAutoencoderOf[float64](cfg)
+		if err := ae.FitCtx(context.Background(), X); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,7 +153,7 @@ func BenchmarkSAGETrain32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(in32, events, cfg); err != nil {
+		if _, err := TrainCtx(in32, events, cfg, TrainOptsOf[float32]{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -165,7 +166,7 @@ func BenchmarkGCNTrain32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TrainGCN(in32, events, cfg); err != nil {
+		if _, err := TrainGCNCtx(in32, events, cfg, TrainOptsOf[float32]{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,7 +176,7 @@ func BenchmarkSAGEPredict32(b *testing.B) {
 	in, events := benchInput(6, 60, 120, 64)
 	in32 := CastInput[float32](in)
 	cfg := benchConfig(2, 12)
-	m, err := Train(in32, events, cfg)
+	m, err := TrainCtx(in32, events, cfg, TrainOptsOf[float32]{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package gnn
 import (
 	"context"
 	"fmt"
+	"maps"
 
 	"trail/internal/graph"
 	"trail/internal/mat"
@@ -26,18 +27,6 @@ type EncoderSetOf[T mat.Float] struct {
 // EncoderSet is the float64 reference instantiation of EncoderSetOf.
 type EncoderSet = EncoderSetOf[float64]
 
-// TrainEncoders fits one float64 autoencoder per IOC kind present in
-// feats and returns the set. feats maps node IDs to raw engineered
-// vectors; kinds reports each node's kind.
-func TrainEncoders(g *graph.Graph, feats map[graph.NodeID][]float64, cfg AEConfig) (*EncoderSet, error) {
-	return TrainEncodersCtx(context.Background(), g, feats, cfg, EncoderTrainOptsOf[float64]{})
-}
-
-// TrainEncodersOf is TrainEncoders at element type T.
-func TrainEncodersOf[T mat.Float](g *graph.Graph, feats map[graph.NodeID][]float64, cfg AEConfig) (*EncoderSetOf[T], error) {
-	return TrainEncodersCtx(context.Background(), g, feats, cfg, EncoderTrainOptsOf[T]{})
-}
-
 // EncoderTrainOptsOf carries the crash-safety knobs for TrainEncodersCtx.
 // Checkpointing is kind-granular: each IOC kind's autoencoder trains from
 // its own seed (cfg.Seed + kind), so skipping already-trained kinds on
@@ -55,75 +44,65 @@ type EncoderTrainOptsOf[T mat.Float] struct {
 // EncoderTrainOptsOf.
 type EncoderTrainOpts = EncoderTrainOptsOf[float64]
 
-// TrainEncodersCtx is TrainEncoders with cooperative cancellation and
-// kind-granular checkpoint/resume.
+// TrainEncodersCtx fits one autoencoder per IOC kind present in feats and
+// returns the set, with cooperative cancellation and kind-granular
+// checkpoint/resume. feats maps node IDs to raw engineered vectors.
 func TrainEncodersCtx[T mat.Float](ctx context.Context, g *graph.Graph, feats map[graph.NodeID][]float64, cfg AEConfig, opts EncoderTrainOptsOf[T]) (*EncoderSetOf[T], error) {
-	set := &EncoderSetOf[T]{
-		Config:  cfg,
-		AEs:     make(map[graph.NodeKind]*AutoencoderOf[T]),
-		Scalers: make(map[graph.NodeKind]*ml.StandardScaler),
-	}
+	set := newEncoderSet[T](cfg)
 	if opts.Resume != nil {
-		for kind, ae := range opts.Resume.AEs {
-			set.AEs[kind] = ae
-		}
-		for kind, sc := range opts.Resume.Scalers {
-			set.Scalers[kind] = sc
-		}
+		maps.Copy(set.AEs, opts.Resume.AEs)
+		maps.Copy(set.Scalers, opts.Resume.Scalers)
 	}
-	for _, kind := range []graph.NodeKind{graph.KindIP, graph.KindURL, graph.KindDomain} {
-		if _, done := set.AEs[kind]; done {
-			continue
-		}
+	err := set.addKinds(g, feats, opts.Checkpoint, func(kind graph.NodeKind, ae *AutoencoderOf[T], X *mat.Matrix, sc *ml.StandardScaler) error {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		var rows [][]float64
-		g.ForEachNode(func(n graph.Node) {
-			if n.Kind == kind {
-				if v, ok := feats[n.ID]; ok {
-					rows = append(rows, v)
-				}
-			}
-		})
-		if len(rows) == 0 {
-			continue
+		if err := ae.FitCtx(ctx, mat.Cast[T](sc.Transform(X))); err != nil {
+			return fmt.Errorf("gnn: train %s encoder: %w", kind, err)
 		}
-		X := mat.FromRows(rows)
-		scaler := ml.FitScaler(X)
-		aeCfg := cfg
-		aeCfg.Seed = cfg.Seed + int64(kind)
-		ae := NewAutoencoderOf[T](aeCfg)
-		if err := ae.FitCtx(ctx, mat.Cast[T](scaler.Transform(X))); err != nil {
-			return nil, fmt.Errorf("gnn: train %s encoder: %w", kind, err)
-		}
-		set.AEs[kind] = ae
-		set.Scalers[kind] = scaler
-		if opts.Checkpoint != nil {
-			if err := opts.Checkpoint(set); err != nil {
-				return nil, err
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return set, nil
 }
 
-// RandomEncoders builds a float64 EncoderSet whose autoencoders are
-// randomly initialised but never trained: the linear-projection baseline
-// for the encoder-type ablation. Scalers are still fitted so the
-// comparison isolates the reconstruction training itself.
-func RandomEncoders(g *graph.Graph, feats map[graph.NodeID][]float64, cfg AEConfig) *EncoderSet {
-	return RandomEncodersOf[float64](g, feats, cfg)
+// RandomEncodersOf builds an EncoderSet whose autoencoders are randomly
+// initialised but never trained: the linear-projection baseline for the
+// encoder-type ablation. Scalers are still fitted so the comparison
+// isolates the reconstruction training itself.
+func RandomEncodersOf[T mat.Float](g *graph.Graph, feats map[graph.NodeID][]float64, cfg AEConfig) *EncoderSetOf[T] {
+	set := newEncoderSet[T](cfg)
+	// No checkpoint and an init that cannot fail: addKinds returns nil.
+	_ = set.addKinds(g, feats, nil, func(_ graph.NodeKind, ae *AutoencoderOf[T], X *mat.Matrix, _ *ml.StandardScaler) error {
+		ae.InitRandom(X.Cols)
+		return nil
+	})
+	return set
 }
 
-// RandomEncodersOf is RandomEncoders at element type T.
-func RandomEncodersOf[T mat.Float](g *graph.Graph, feats map[graph.NodeID][]float64, cfg AEConfig) *EncoderSetOf[T] {
-	set := &EncoderSetOf[T]{
+func newEncoderSet[T mat.Float](cfg AEConfig) *EncoderSetOf[T] {
+	return &EncoderSetOf[T]{
 		Config:  cfg,
 		AEs:     make(map[graph.NodeKind]*AutoencoderOf[T]),
 		Scalers: make(map[graph.NodeKind]*ml.StandardScaler),
 	}
+}
+
+// addKinds is the per-kind loop behind TrainEncodersCtx and
+// RandomEncodersOf. For each IOC kind not yet in s that has featurised
+// nodes it collects the kind's raw rows, fits their scaler, and hands
+// init an untrained autoencoder seeded with Config.Seed + kind. Once
+// init succeeds the pair joins s and checkpoint (when non-nil) sees the
+// grown set. Per-kind seeding is what makes skipping already-present
+// kinds on resume bit-identical to an uninterrupted run.
+func (s *EncoderSetOf[T]) addKinds(g *graph.Graph, feats map[graph.NodeID][]float64, checkpoint func(*EncoderSetOf[T]) error,
+	init func(kind graph.NodeKind, ae *AutoencoderOf[T], X *mat.Matrix, sc *ml.StandardScaler) error) error {
 	for _, kind := range []graph.NodeKind{graph.KindIP, graph.KindURL, graph.KindDomain} {
+		if _, done := s.AEs[kind]; done {
+			continue
+		}
 		var rows [][]float64
 		g.ForEachNode(func(n graph.Node) {
 			if n.Kind == kind {
@@ -136,14 +115,22 @@ func RandomEncodersOf[T mat.Float](g *graph.Graph, feats map[graph.NodeID][]floa
 			continue
 		}
 		X := mat.FromRows(rows)
-		set.Scalers[kind] = ml.FitScaler(X)
-		aeCfg := cfg
-		aeCfg.Seed = cfg.Seed + int64(kind)
+		sc := ml.FitScaler(X)
+		aeCfg := s.Config
+		aeCfg.Seed += int64(kind)
 		ae := NewAutoencoderOf[T](aeCfg)
-		ae.InitRandom(X.Cols)
-		set.AEs[kind] = ae
+		if err := init(kind, ae, X, sc); err != nil {
+			return err
+		}
+		s.AEs[kind] = ae
+		s.Scalers[kind] = sc
+		if checkpoint != nil {
+			if err := checkpoint(s); err != nil {
+				return err
+			}
+		}
 	}
-	return set
+	return nil
 }
 
 // EncodeGraph produces the SAGE input matrix: one encoded row per node

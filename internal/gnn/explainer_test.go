@@ -12,7 +12,7 @@ func TestExplainerWeightsAndRanking(t *testing.T) {
 	for _, evs := range byClass {
 		train = append(train, evs...)
 	}
-	m, err := Train(in, train, Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 40, Seed: 1})
+	m, err := TrainCtx(in, train, Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 40, Seed: 1}, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestExplainerMaskActuallyDiscriminates(t *testing.T) {
 	for _, evs := range byClass {
 		train = append(train, evs...)
 	}
-	m, err := Train(in, train, Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 40, Seed: 2})
+	m, err := TrainCtx(in, train, Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 40, Seed: 2}, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,14 +28,9 @@ type GCNOf[T mat.Float] struct {
 	layers   []*linear[T]
 }
 
-// GCN is the float64 reference instantiation of GCNOf.
-type GCN = GCNOf[float64]
-
-// NewGCN initialises a float64 GCN with the same configuration shape as
-// the SAGE model (MaxNeighbors is ignored; GCN is always full-graph).
-func NewGCN(cfg Config, classes int) *GCN { return NewGCNOf[float64](cfg, classes) }
-
-// NewGCNOf initialises a GCN at element type T.
+// NewGCNOf initialises a GCN at element type T with the same
+// configuration shape as the SAGE model (MaxNeighbors is ignored; GCN is
+// always full-graph).
 func NewGCNOf[T mat.Float](cfg Config, classes int) *GCNOf[T] {
 	if cfg.Layers < 1 {
 		cfg.Layers = 2
@@ -94,15 +89,10 @@ func (g *GCNOf[T]) CloneGCN() *GCNOf[T] {
 	return cp
 }
 
-// TrainGCN fits a GCN with the same label-visibility protocol as the SAGE
-// trainer.
-func TrainGCN[T mat.Float](in InputOf[T], trainEvents []graph.NodeID, cfg Config) (*GCNOf[T], error) {
-	return TrainGCNCtx(in, trainEvents, cfg, TrainOptsOf[T]{})
-}
-
-// TrainGCNCtx is TrainGCN with the crash-safety knobs of TrainCtx:
-// cancellable context, epoch-granular checkpoint hook, and bit-identical
-// resume from a checkpointed TrainState.
+// TrainGCNCtx fits a GCN with the same label-visibility protocol and
+// crash-safety knobs as TrainCtx: cancellable context, epoch-granular
+// checkpoint hook, and bit-identical resume from a checkpointed
+// TrainState.
 func TrainGCNCtx[T mat.Float](in InputOf[T], trainEvents []graph.NodeID, cfg Config, opts TrainOptsOf[T]) (*GCNOf[T], error) {
 	st, err := opts.resumeFor(archGCN)
 	if err != nil {

@@ -17,7 +17,7 @@ func TestGCNLearnsClusteredAttribution(t *testing.T) {
 		train = append(train, evs[:9]...)
 		test = append(test, evs[9:]...)
 	}
-	m, err := TrainGCN(in, train, Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 60, Seed: 1})
+	m, err := TrainGCNCtx(in, train, Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 60, Seed: 1}, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +36,12 @@ func TestGCNLearnsClusteredAttribution(t *testing.T) {
 
 func TestGCNTrainErrors(t *testing.T) {
 	in, byClass := buildToyAttributionGraph(t, 2, 3, 2)
-	if _, err := TrainGCN(in, nil, Config{Layers: 2, Encoding: 16}); err == nil {
+	if _, err := TrainGCNCtx(in, nil, Config{Layers: 2, Encoding: 16}, TrainOpts{}); err == nil {
 		t.Fatal("expected error with no training events")
 	}
 	bad := in
-	bad.Enc = mat.New(in.CSR.Rows, 5)
-	if _, err := TrainGCN(bad, byClass[0], Config{Layers: 2, Encoding: 16}); err == nil {
+	bad.Enc = mat.NewOf[float64](in.CSR.Rows, 5)
+	if _, err := TrainGCNCtx(bad, byClass[0], Config{Layers: 2, Encoding: 16}, TrainOpts{}); err == nil {
 		t.Fatal("expected error on encoding width mismatch")
 	}
 }
@@ -59,8 +59,8 @@ func TestGCNPropagationIsSymmetric(t *testing.T) {
 	g.AddEdge(4, 5, graph.EdgeARecord)
 	s := gcnOperator(Input{CSR: g.CSR()})
 
-	x := mat.RandNormal(newRng(3), 7, 3, 0, 1)
-	y := mat.RandNormal(newRng(4), 7, 3, 0, 1)
+	x := mat.RandNormalOf[float64](newRng(3), 7, 3, 0, 1)
+	y := mat.RandNormalOf[float64](newRng(4), 7, 3, 0, 1)
 	sx := s.Mul(x)
 	sy := s.Mul(y)
 	lhs := mat.Dot(sx.Data, y.Data)
@@ -82,7 +82,7 @@ func TestGCNPropPreservesConstantVector(t *testing.T) {
 		g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n), graph.EdgeARecord)
 	}
 	s := gcnOperator(Input{CSR: g.CSR()})
-	x := mat.New(n, 1)
+	x := mat.NewOf[float64](n, 1)
 	x.Fill(1)
 	out := s.Mul(x)
 	for i := 0; i < n; i++ {

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,15 +16,15 @@ import (
 func TestAutoencoderReconstructs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// Low-rank data: 200 samples on a 5-dim subspace of R^40.
-	basis := mat.RandNormal(rng, 5, 40, 0, 1)
-	X := mat.New(200, 40)
+	basis := mat.RandNormalOf[float64](rng, 5, 40, 0, 1)
+	X := mat.NewOf[float64](200, 40)
 	for i := 0; i < X.Rows; i++ {
 		for b := 0; b < 5; b++ {
 			mat.Axpy(rng.NormFloat64(), basis.Row(b), X.Row(i))
 		}
 	}
-	ae := NewAutoencoder(AEConfig{Hidden: 32, Encoding: 8, LR: 1e-2, Epochs: 30, Batch: 32, Seed: 1})
-	if err := ae.Fit(X); err != nil {
+	ae := NewAutoencoderOf[float64](AEConfig{Hidden: 32, Encoding: 8, LR: 1e-2, Epochs: 30, Batch: 32, Seed: 1})
+	if err := ae.FitCtx(context.Background(), X); err != nil {
 		t.Fatal(err)
 	}
 	errAfter := ae.ReconstructionError(X)
@@ -44,8 +45,8 @@ func TestAutoencoderReconstructs(t *testing.T) {
 }
 
 func TestAutoencoderEmptyInput(t *testing.T) {
-	ae := NewAutoencoder(DefaultAEConfig())
-	if err := ae.Fit(mat.New(0, 4)); err == nil {
+	ae := NewAutoencoderOf[float64](DefaultAEConfig())
+	if err := ae.FitCtx(context.Background(), mat.NewOf[float64](0, 4)); err == nil {
 		t.Fatal("expected error for empty input")
 	}
 }
@@ -91,7 +92,7 @@ func buildToyAttributionGraph(t *testing.T, classes, eventsPerClass, iocsPerClas
 	}
 	// encRows order must match node IDs: IOCs were created before events
 	// per class, so rebuild by ID.
-	enc := mat.New(g.NumNodes(), encDim)
+	enc := mat.NewOf[float64](g.NumNodes(), encDim)
 	// Recreate deterministically: iterate nodes and refill from encRows
 	// using the same creation order (Upsert assigns sequential IDs).
 	for i, row := range encRows {
@@ -125,7 +126,7 @@ func TestSAGELearnsClusteredAttribution(t *testing.T) {
 		test = append(test, evs[9:]...)
 	}
 	cfg := Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 60, Seed: 1}
-	m, err := Train(in, train, cfg)
+	m, err := TrainCtx(in, train, cfg, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestSAGEConfidenceAndProba(t *testing.T) {
 	for _, evs := range byClass {
 		train = append(train, evs...)
 	}
-	m, err := Train(in, train, Config{Layers: 2, Hidden: 8, Encoding: 16, LR: 1e-2, Epochs: 20, Seed: 1})
+	m, err := TrainCtx(in, train, Config{Layers: 2, Hidden: 8, Encoding: 16, LR: 1e-2, Epochs: 20, Seed: 1}, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +170,12 @@ func TestSAGEConfidenceAndProba(t *testing.T) {
 
 func TestSAGETrainErrors(t *testing.T) {
 	in, byClass := buildToyAttributionGraph(t, 2, 3, 2)
-	if _, err := Train(in, nil, Config{Layers: 2, Encoding: 16}); err == nil {
+	if _, err := TrainCtx(in, nil, Config{Layers: 2, Encoding: 16}, TrainOpts{}); err == nil {
 		t.Fatal("expected error with no training events")
 	}
 	bad := in
-	bad.Enc = mat.New(in.CSR.Rows, 7) // wrong width
-	if _, err := Train(bad, byClass[0], Config{Layers: 2, Encoding: 16}); err == nil {
+	bad.Enc = mat.NewOf[float64](in.CSR.Rows, 7) // wrong width
+	if _, err := TrainCtx(bad, byClass[0], Config{Layers: 2, Encoding: 16}, TrainOpts{}); err == nil {
 		t.Fatal("expected error on encoding width mismatch")
 	}
 }
@@ -187,7 +188,7 @@ func TestFineTuneImproves(t *testing.T) {
 		test = append(test, evs[7:]...)
 	}
 	cfg := Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 2, Seed: 1}
-	m, err := Train(in, train, cfg)
+	m, err := TrainCtx(in, train, cfg, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +221,8 @@ func TestNeighborMeanTransposeIsAdjoint(t *testing.T) {
 		g.AddEdge(u, v, graph.EdgeInReport)
 	}
 	mean := meanOperator(Input{CSR: g.CSR()})
-	x := mat.RandNormal(rng, 6, 4, 0, 1)
-	y := mat.RandNormal(rng, 6, 4, 0, 1)
+	x := mat.RandNormalOf[float64](rng, 6, 4, 0, 1)
+	y := mat.RandNormalOf[float64](rng, 6, 4, 0, 1)
 	ax := mean.Mul(x)
 	aty := mean.MulTrans(y)
 	lhs := mat.Dot(ax.Data, y.Data)

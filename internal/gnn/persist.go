@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"sort"
 
 	"trail/internal/ckpt"
@@ -65,11 +66,43 @@ func wireLinear[T mat.Float](l *linear[T]) linearWire[T] {
 	return linearWire[T]{W: l.w.W, B: l.b.W}
 }
 
-func (w linearWire[T]) revive() *linear[T] {
-	return &linear[T]{
-		w: &ml.ParamOf[T]{W: w.W, G: mat.NewOf[T](w.W.Rows, w.W.Cols)},
-		b: &ml.ParamOf[T]{W: w.B, G: mat.NewOf[T](w.B.Rows, w.B.Cols)},
+// reviveLayers rebuilds a chain of layers, each consuming the previous
+// one's output width, that maps width in to width out. A missing or
+// mis-sized W or B is an error, so a corrupt payload can neither panic
+// the decoder nor hand a kernel inconsistent shapes.
+func reviveLayers[T mat.Float](in, out int, ws ...linearWire[T]) ([]*linear[T], error) {
+	ls := make([]*linear[T], len(ws))
+	for i, w := range ws {
+		if w.W == nil {
+			return nil, fmt.Errorf("linear %d: W missing", i)
+		}
+		if err := errors.Join(checkShape(w.W, in, w.W.Cols), checkShape(w.B, 1, w.W.Cols)); err != nil {
+			return nil, fmt.Errorf("linear %d: %w", i, err)
+		}
+		in = w.W.Cols
+		ls[i] = &linear[T]{
+			w: &ml.ParamOf[T]{W: w.W, G: mat.NewOf[T](w.W.Rows, w.W.Cols)},
+			b: &ml.ParamOf[T]{W: w.B, G: mat.NewOf[T](w.B.Rows, w.B.Cols)},
+		}
 	}
+	if in != out {
+		return nil, fmt.Errorf("layers end at width %d, want %d", in, out)
+	}
+	return ls, nil
+}
+
+// checkShape rejects a missing matrix and one that is not rows x cols
+// with exactly rows*cols elements (checked by division, so huge
+// dimensions cannot overflow into a match).
+func checkShape[T mat.Float](d *mat.Dense[T], rows, cols int) error {
+	if d == nil {
+		return errors.New("matrix missing")
+	}
+	if n := len(d.Data); d.Rows != rows || d.Cols != cols || rows < 0 || cols < 0 ||
+		(cols == 0 && n != 0) || (cols > 0 && (n%cols != 0 || n/cols != rows)) {
+		return fmt.Errorf("%dx%d matrix with %d elements, want %dx%d", d.Rows, d.Cols, n, rows, cols)
+	}
+	return nil
 }
 
 type modelWire[T mat.Float] struct {
@@ -96,17 +129,24 @@ func (m *ModelOf[T]) GobDecode(b []byte) error {
 	if err := gobValue(b, &w); err != nil {
 		return err
 	}
-	if w.LabelEmb.W == nil || len(w.Layers) != len(w.SelfW) {
-		return errors.New("gnn: malformed SAGE checkpoint payload")
+	if len(w.Layers) == 0 || len(w.Layers) != len(w.SelfW) {
+		return fmt.Errorf("gnn: malformed SAGE checkpoint payload: %d layers, %d self weights", len(w.Layers), len(w.SelfW))
+	}
+	// The label embedding maps classes to the input width; the layers map
+	// that back to class logits.
+	ls, err := reviveLayers(w.Classes, w.Classes, append([]linearWire[T]{w.LabelEmb}, w.Layers...)...)
+	if err != nil {
+		return fmt.Errorf("gnn: malformed SAGE checkpoint payload: %w", err)
+	}
+	selfW := make([]*ml.ParamOf[T], len(w.SelfW))
+	for i, sw := range w.SelfW {
+		if err := checkShape(sw, ls[i+1].w.W.Rows, ls[i+1].w.W.Cols); err != nil {
+			return fmt.Errorf("gnn: malformed SAGE checkpoint payload: self weight %d: %w", i, err)
+		}
+		selfW[i] = &ml.ParamOf[T]{W: sw, G: mat.NewOf[T](sw.Rows, sw.Cols)}
 	}
 	m.Config, m.classes = w.Config, w.Classes
-	m.labelEmb = w.LabelEmb.revive()
-	m.layers, m.selfW = nil, nil
-	for i, lw := range w.Layers {
-		m.layers = append(m.layers, lw.revive())
-		sw := w.SelfW[i]
-		m.selfW = append(m.selfW, &ml.ParamOf[T]{W: sw, G: mat.NewOf[T](sw.Rows, sw.Cols)})
-	}
+	m.labelEmb, m.layers, m.selfW = ls[0], ls[1:], selfW
 	return nil
 }
 
@@ -132,15 +172,15 @@ func (g *GCNOf[T]) GobDecode(b []byte) error {
 	if err := gobValue(b, &w); err != nil {
 		return err
 	}
-	if w.LabelEmb.W == nil {
-		return errors.New("gnn: malformed GCN checkpoint payload")
+	if len(w.Layers) == 0 {
+		return errors.New("gnn: malformed GCN checkpoint payload: no layers")
+	}
+	ls, err := reviveLayers(w.Classes, w.Classes, append([]linearWire[T]{w.LabelEmb}, w.Layers...)...)
+	if err != nil {
+		return fmt.Errorf("gnn: malformed GCN checkpoint payload: %w", err)
 	}
 	g.Config, g.classes = w.Config, w.Classes
-	g.labelEmb = w.LabelEmb.revive()
-	g.layers = nil
-	for _, lw := range w.Layers {
-		g.layers = append(g.layers, lw.revive())
-	}
+	g.labelEmb, g.layers = ls[0], ls[1:]
 	return nil
 }
 
@@ -171,11 +211,12 @@ func (a *AutoencoderOf[T]) GobDecode(b []byte) error {
 	a.Config, a.inDim = w.Config, w.InDim
 	a.enc1, a.enc2, a.dec1, a.dec2 = nil, nil, nil, nil
 	if w.Trained {
-		if w.Enc1.W == nil || w.Enc2.W == nil || w.Dec1.W == nil || w.Dec2.W == nil {
-			return errors.New("gnn: malformed autoencoder checkpoint payload")
+		// enc1 → enc2 → dec1 → dec2 maps InDim back to InDim.
+		ls, err := reviveLayers(w.InDim, w.InDim, w.Enc1, w.Enc2, w.Dec1, w.Dec2)
+		if err != nil {
+			return fmt.Errorf("gnn: malformed autoencoder checkpoint payload: %w", err)
 		}
-		a.enc1, a.enc2 = w.Enc1.revive(), w.Enc2.revive()
-		a.dec1, a.dec2 = w.Dec1.revive(), w.Dec2.revive()
+		a.enc1, a.enc2, a.dec1, a.dec2 = ls[0], ls[1], ls[2], ls[3]
 	}
 	return nil
 }
@@ -261,9 +302,6 @@ func SaveGCN[T mat.Float](path string, g *GCNOf[T]) error {
 	return ckpt.SaveGob(path, kindFor[T](KindGCN), VersionGCN, g)
 }
 
-// LoadGCN reads a float64 GCN model checkpoint.
-func LoadGCN(path string) (*GCN, error) { return LoadGCNOf[float64](path) }
-
 // LoadGCNOf reads a GCN model checkpoint at element type T.
 func LoadGCNOf[T mat.Float](path string) (*GCNOf[T], error) {
 	g := &GCNOf[T]{}
@@ -295,9 +333,6 @@ func LoadEncodersOf[T mat.Float](path string) (*EncoderSetOf[T], error) {
 func SaveTrainState[T mat.Float](path string, st *TrainStateOf[T]) error {
 	return ckpt.SaveGob(path, kindFor[T](KindTrain), VersionTrain, st)
 }
-
-// LoadTrainState reads a float64 mid-training checkpoint.
-func LoadTrainState(path string) (*TrainState, error) { return LoadTrainStateOf[float64](path) }
 
 // LoadTrainStateOf reads a mid-training checkpoint at element type T.
 func LoadTrainStateOf[T mat.Float](path string) (*TrainStateOf[T], error) {

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -18,7 +19,7 @@ import (
 func TestFloat32ModelRoundTrip(t *testing.T) {
 	_, in32, train := equivTrainSetup32(t)
 	cfg := Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 4, Seed: 9}
-	m, err := Train(in32, train, cfg)
+	m, err := TrainCtx(in32, train, cfg, TrainOptsOf[float32]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestFloat32TrainStateRoundTrip(t *testing.T) {
 	assertParamsBitIdentical(t, "f32 train-state weights", st.SAGE.params(), saved.SAGE.params())
 
 	var kerr *ckpt.KindError
-	if _, err := LoadTrainState(path); !errors.As(err, &kerr) {
+	if _, err := LoadTrainStateOf[float64](path); !errors.As(err, &kerr) {
 		t.Fatalf("float64 load of a float32 train state: got %v, want *ckpt.KindError", err)
 	}
 }
@@ -93,7 +94,7 @@ func TestFloat32EncodersRoundTrip(t *testing.T) {
 		feats[id] = []float64{float64(i), float64(i % 7), float64(i % 3)}
 	}
 	cfg := AEConfig{Hidden: 8, Encoding: 4, LR: 1e-3, Epochs: 3, Batch: 16, Seed: 2}
-	set, err := TrainEncodersOf[float32](g, feats, cfg)
+	set, err := TrainEncodersCtx(context.Background(), g, feats, cfg, EncoderTrainOptsOf[float32]{})
 	if err != nil {
 		t.Fatal(err)
 	}

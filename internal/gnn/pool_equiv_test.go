@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,13 +14,13 @@ import (
 // The pooled hot loops must be arithmetically invisible: training with
 // workspace-pooled scratch produces weights bit-identical to training
 // with freshly allocated scratch (the pre-pool behaviour, preserved by
-// mat.NewAllocWorkspace). These tests swap the workspace constructor via
+// mat.NewAllocWorkspaceOf). These tests swap the workspace constructor via
 // the newTrainWorkspace hook and compare every parameter bit.
 
 func withAllocWorkspace(t *testing.T, f func()) {
 	t.Helper()
 	orig := newTrainWorkspace
-	newTrainWorkspace = mat.NewAllocWorkspace
+	newTrainWorkspace = mat.NewAllocWorkspaceOf[float64]
 	defer func() { newTrainWorkspace = orig }()
 	f()
 }
@@ -55,12 +56,12 @@ func TestSAGEPooledTrainingMatchesAllocating(t *testing.T) {
 		var ref *Model
 		withAllocWorkspace(t, func() {
 			var err error
-			ref, err = Train(in, train, cfg)
+			ref, err = TrainCtx(in, train, cfg, TrainOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
-		pooled, err := Train(in, train, cfg)
+		pooled, err := TrainCtx(in, train, cfg, TrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,15 +72,15 @@ func TestSAGEPooledTrainingMatchesAllocating(t *testing.T) {
 func TestGCNPooledTrainingMatchesAllocating(t *testing.T) {
 	in, train := equivTrainSetup(t)
 	cfg := Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 5, Seed: 1}
-	var ref *GCN
+	var ref *GCNOf[float64]
 	withAllocWorkspace(t, func() {
 		var err error
-		ref, err = TrainGCN(in, train, cfg)
+		ref, err = TrainGCNCtx(in, train, cfg, TrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
-	pooled, err := TrainGCN(in, train, cfg)
+	pooled, err := TrainGCNCtx(in, train, cfg, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,23 +88,23 @@ func TestGCNPooledTrainingMatchesAllocating(t *testing.T) {
 }
 
 func TestAEPooledTrainingMatchesAllocating(t *testing.T) {
-	X := mat.New(150, 24)
+	X := mat.NewOf[float64](150, 24)
 	for i := range X.Data {
 		X.Data[i] = math.Sin(float64(i) * 0.7331)
 	}
 	cfg := AEConfig{Hidden: 16, Encoding: 8, LR: 1e-3, Epochs: 4, Batch: 32, Seed: 5}
-	var ref *Autoencoder
+	var ref *AutoencoderOf[float64]
 	withAllocWorkspace(t, func() {
-		ref = NewAutoencoder(cfg)
-		if err := ref.Fit(X); err != nil {
+		ref = NewAutoencoderOf[float64](cfg)
+		if err := ref.FitCtx(context.Background(), X); err != nil {
 			t.Fatal(err)
 		}
 	})
-	pooled := NewAutoencoder(cfg)
-	if err := pooled.Fit(X); err != nil {
+	pooled := NewAutoencoderOf[float64](cfg)
+	if err := pooled.FitCtx(context.Background(), X); err != nil {
 		t.Fatal(err)
 	}
-	var got, want []*ml.Param
+	var got, want []*ml.ParamOf[float64]
 	for _, l := range []*linear[float64]{pooled.enc1, pooled.enc2, pooled.dec1, pooled.dec2} {
 		got = append(got, l.params()...)
 	}
@@ -121,7 +122,7 @@ func TestForwardInferMatchesTrainingForward(t *testing.T) {
 		{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 4, Seed: 2},
 		{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 4, Seed: 2, NoL2: true},
 	} {
-		m, err := Train(in, train, cfg)
+		m, err := TrainCtx(in, train, cfg, TrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func TestForwardInferMatchesTrainingForward(t *testing.T) {
 		}
 		agg := meanOperator(in)
 
-		ws := mat.NewWorkspace()
+		ws := mat.NewWorkspaceOf[float64]()
 		scr := newSageScratch(m, len(train))
 		trainActs := m.forward(in, agg, visible, scr.ws, &scr.acts)
 		wantLogits := trainActs.h[len(trainActs.h)-1]

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -34,11 +35,11 @@ func equivTrainSetup32(t *testing.T) (Input, InputOf[float32], []graph.NodeID) {
 func TestSAGEFloat32MatchesFloat64(t *testing.T) {
 	in, in32, train := equivTrainSetup32(t)
 	cfg := Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 30, Seed: 1}
-	m64, err := Train(in, train, cfg)
+	m64, err := TrainCtx(in, train, cfg, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m32, err := Train(in32, train, cfg)
+	m32, err := TrainCtx(in32, train, cfg, TrainOptsOf[float32]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestSAGEFloat32MatchesFloat64(t *testing.T) {
 func TestGCNFloat32MatchesFloat64(t *testing.T) {
 	in, in32, train := equivTrainSetup32(t)
 	cfg := Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 30, Seed: 1}
-	g64, err := TrainGCN(in, train, cfg)
+	g64, err := TrainGCNCtx(in, train, cfg, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g32, err := TrainGCN(in32, train, cfg)
+	g32, err := TrainGCNCtx(in32, train, cfg, TrainOptsOf[float32]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,18 +95,18 @@ func TestGCNFloat32MatchesFloat64(t *testing.T) {
 }
 
 func TestAEFloat32MatchesFloat64(t *testing.T) {
-	X := mat.New(150, 24)
+	X := mat.NewOf[float64](150, 24)
 	for i := range X.Data {
 		X.Data[i] = math.Sin(float64(i) * 0.7331)
 	}
 	X32 := mat.Cast[float32](X)
 	cfg := AEConfig{Hidden: 16, Encoding: 8, LR: 1e-3, Epochs: 6, Batch: 32, Seed: 5}
-	ae64 := NewAutoencoder(cfg)
-	if err := ae64.Fit(X); err != nil {
+	ae64 := NewAutoencoderOf[float64](cfg)
+	if err := ae64.FitCtx(context.Background(), X); err != nil {
 		t.Fatal(err)
 	}
 	ae32 := NewAutoencoderOf[float32](cfg)
-	if err := ae32.Fit(X32); err != nil {
+	if err := ae32.FitCtx(context.Background(), X32); err != nil {
 		t.Fatal(err)
 	}
 	e64, e32 := ae64.ReconstructionError(X), ae32.ReconstructionError(X32)
@@ -123,12 +124,12 @@ func TestFloat32PooledTrainingMatchesAllocating(t *testing.T) {
 	cfg := Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 5, Seed: 1}
 	orig := newTrainWorkspace32
 	newTrainWorkspace32 = mat.NewAllocWorkspaceOf[float32]
-	ref, err := Train(in32, train, cfg)
+	ref, err := TrainCtx(in32, train, cfg, TrainOptsOf[float32]{})
 	newTrainWorkspace32 = orig
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := Train(in32, train, cfg)
+	pooled, err := TrainCtx(in32, train, cfg, TrainOptsOf[float32]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +143,9 @@ func TestFloat32TrainingSerialParallelBitIdentical(t *testing.T) {
 	_, in32, train := equivTrainSetup32(t)
 	cfg := Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 5, Seed: 1}
 	prev := par.SetWorkers(1)
-	serial, err := Train(in32, train, cfg)
+	serial, err := TrainCtx(in32, train, cfg, TrainOptsOf[float32]{})
 	par.SetWorkers(8)
-	parallel, err2 := Train(in32, train, cfg)
+	parallel, err2 := TrainCtx(in32, train, cfg, TrainOptsOf[float32]{})
 	par.SetWorkers(prev)
 	if err != nil {
 		t.Fatal(err)
@@ -163,11 +164,11 @@ func TestFloat32TrainingSerialParallelBitIdentical(t *testing.T) {
 func TestSAGEInferenceReorderedBitIdentical(t *testing.T) {
 	in, in32, train := equivTrainSetup32(t)
 	cfg := Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 5, Seed: 1}
-	m64, err := Train(in, train, cfg)
+	m64, err := TrainCtx(in, train, cfg, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m32, err := Train(in32, train, cfg)
+	m32, err := TrainCtx(in32, train, cfg, TrainOptsOf[float32]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestSAGEInferenceReorderedBitIdentical(t *testing.T) {
 func TestGCNPredictReorderedBitIdentical(t *testing.T) {
 	in, train := equivTrainSetup(t)
 	cfg := Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 5, Seed: 1}
-	g, err := TrainGCN(in, train, cfg)
+	g, err := TrainGCNCtx(in, train, cfg, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

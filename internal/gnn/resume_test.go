@@ -34,7 +34,7 @@ func sageWeights(m *Model) [][]float64 {
 	return out
 }
 
-func gcnWeights(g *GCN) [][]float64 {
+func gcnWeights(g *GCNOf[float64]) [][]float64 {
 	var out [][]float64
 	for _, p := range g.params() {
 		out = append(out, p.W.Data)
@@ -71,7 +71,7 @@ func TestSAGEResumeBitIdentical(t *testing.T) {
 	const epochs = 5
 	cfg := resumeCfg(epochs)
 
-	ref, err := Train(in, train, cfg)
+	ref, err := TrainCtx(in, train, cfg, TrainOpts{})
 	if err != nil {
 		t.Fatalf("uninterrupted train: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestSAGEResumeBitIdentical(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("k=%d: want context.Canceled, got %v", k, err)
 		}
-		st, err := LoadTrainState(path)
+		st, err := LoadTrainStateOf[float64](path)
 		if err != nil {
 			t.Fatalf("k=%d: load checkpoint: %v", k, err)
 		}
@@ -118,7 +118,7 @@ func TestGCNResumeBitIdentical(t *testing.T) {
 	const epochs = 4
 	cfg := resumeCfg(epochs)
 
-	ref, err := TrainGCN(in, train, cfg)
+	ref, err := TrainGCNCtx(in, train, cfg, TrainOpts{})
 	if err != nil {
 		t.Fatalf("uninterrupted train: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestGCNResumeBitIdentical(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("k=%d: want context.Canceled, got %v", k, err)
 		}
-		st, err := LoadTrainState(path)
+		st, err := LoadTrainStateOf[float64](path)
 		if err != nil {
 			t.Fatalf("k=%d: load checkpoint: %v", k, err)
 		}
@@ -180,7 +180,7 @@ func TestResumeArchMismatch(t *testing.T) {
 func TestSAGEPersistRoundTrip(t *testing.T) {
 	in, byClass := buildToyAttributionGraph(t, 3, 5, 4)
 	train := trainSplit(byClass)
-	m, err := Train(in, train, resumeCfg(3))
+	m, err := TrainCtx(in, train, resumeCfg(3), TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSAGEPersistRoundTrip(t *testing.T) {
 func TestGCNPersistRoundTrip(t *testing.T) {
 	in, byClass := buildToyAttributionGraph(t, 2, 5, 4)
 	train := trainSplit(byClass)
-	g, err := TrainGCN(in, train, resumeCfg(2))
+	g, err := TrainGCNCtx(in, train, resumeCfg(2), TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestGCNPersistRoundTrip(t *testing.T) {
 	if err := SaveGCN(path, g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadGCN(path)
+	got, err := LoadGCNOf[float64](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +243,14 @@ func TestTrainStateCorruption(t *testing.T) {
 	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTrainState(path); !errors.Is(err, ckpt.ErrCorrupt) {
+	if _, err := LoadTrainStateOf[float64](path); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("bit flip: want ErrCorrupt, got %v", err)
 	}
 
 	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTrainState(path); !errors.Is(err, ckpt.ErrTruncated) {
+	if _, err := LoadTrainStateOf[float64](path); !errors.Is(err, ckpt.ErrTruncated) {
 		t.Fatalf("truncation: want ErrTruncated, got %v", err)
 	}
 }
@@ -259,7 +259,7 @@ func TestTrainStateCorruption(t *testing.T) {
 // version is rejected with *ckpt.VersionError.
 func TestModelVersionSkew(t *testing.T) {
 	in, byClass := buildToyAttributionGraph(t, 2, 4, 4)
-	m, err := Train(in, trainSplit(byClass), resumeCfg(2))
+	m, err := TrainCtx(in, trainSplit(byClass), resumeCfg(2), TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestModelVersionSkew(t *testing.T) {
 func TestFineTuneRestoresLR(t *testing.T) {
 	in, byClass := buildToyAttributionGraph(t, 2, 4, 4)
 	train := trainSplit(byClass)
-	m, err := Train(in, train, resumeCfg(2))
+	m, err := TrainCtx(in, train, resumeCfg(2), TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestEncoderSetKindResume(t *testing.T) {
 	g, feats := buildMultiKindGraph(t)
 	cfg := AEConfig{Hidden: 8, Encoding: 4, LR: 1e-3, Epochs: 2, Batch: 4, Seed: 9}
 
-	ref, err := TrainEncoders(g, feats, cfg)
+	ref, err := TrainEncodersCtx(context.Background(), g, feats, cfg, EncoderTrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestEncoderSetKindResume(t *testing.T) {
 func TestEncoderSetPersistRoundTrip(t *testing.T) {
 	g, feats := buildMultiKindGraph(t)
 	cfg := AEConfig{Hidden: 8, Encoding: 4, LR: 1e-3, Epochs: 2, Batch: 4, Seed: 9}
-	set, err := TrainEncoders(g, feats, cfg)
+	set, err := TrainEncodersCtx(context.Background(), g, feats, cfg, EncoderTrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

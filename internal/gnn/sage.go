@@ -80,7 +80,7 @@ type Config struct {
 }
 
 // DefaultConfig returns laptop-scale defaults (paper values: Hidden 512,
-// LR 1e-4). The class count is supplied separately to NewModel/Train.
+// LR 1e-4). The class count is supplied separately to NewModelOf/TrainCtx.
 func DefaultConfig(layers int) Config {
 	return Config{
 		Layers:       layers,
@@ -109,10 +109,6 @@ type ModelOf[T mat.Float] struct {
 
 // Model is the float64 reference instantiation of ModelOf.
 type Model = ModelOf[float64]
-
-// NewModel initialises float64 weights for the given input width and
-// class count.
-func NewModel(cfg Config, classes int) *Model { return NewModelOf[float64](cfg, classes) }
 
 // NewModelOf initialises weights at element type T. The initialisation
 // draws the same RNG sequence at every precision, so a float32 model
@@ -161,22 +157,19 @@ func (m *ModelOf[T]) params() []*ml.ParamOf[T] {
 	return ps
 }
 
-// Train fits the model: cross-entropy on the training events, with the
-// paper's label-visibility protocol. Each epoch the training events are
-// split in half: one half's labels are fed as input features (visible
-// neighbours), the other half is predicted and optimised. This lets the
-// model learn to exploit neighbour labels without learning to copy its
-// own.
-func Train[T mat.Float](in InputOf[T], trainEvents []graph.NodeID, cfg Config) (*ModelOf[T], error) {
-	return TrainCtx(in, trainEvents, cfg, TrainOptsOf[T]{})
-}
-
-// TrainCtx is Train with crash-safety: a cancellable context, an
-// epoch-granular checkpoint hook, and resume from a checkpointed
-// TrainState. Kill-at-epoch-k followed by a resume produces final weights
-// bit-identical to an uninterrupted run. On divergence
-// (*ml.DivergenceError) the returned model carries the lowest-loss
-// epoch's weights — rolled back, never NaN.
+// TrainCtx fits the model: cross-entropy on the training events, with
+// the paper's label-visibility protocol. Each epoch the training events
+// are split in half: one half's labels are fed as input features
+// (visible neighbours), the other half is predicted and optimised. This
+// lets the model learn to exploit neighbour labels without learning to
+// copy its own.
+//
+// opts carries the crash-safety knobs (the zero value disables them): a
+// cancellable context, an epoch-granular checkpoint hook, and resume
+// from a checkpointed TrainState. Kill-at-epoch-k followed by a resume
+// produces final weights bit-identical to an uninterrupted run. On
+// divergence (*ml.DivergenceError) the returned model carries the
+// lowest-loss epoch's weights — rolled back, never NaN.
 func TrainCtx[T mat.Float](in InputOf[T], trainEvents []graph.NodeID, cfg Config, opts TrainOptsOf[T]) (*ModelOf[T], error) {
 	st, err := opts.resumeFor(archSAGE)
 	if err != nil {
@@ -229,11 +222,11 @@ func (m *ModelOf[T]) FineTune(in InputOf[T], trainEvents []graph.NodeID, epochs 
 
 // newTrainWorkspace supplies the scratch arena for every float64 fit
 // loop; newTrainWorkspace32 is its float32 counterpart. Tests swap in
-// mat.NewAllocWorkspace to run the identical arithmetic with fresh
+// mat.NewAllocWorkspaceOf to run the identical arithmetic with fresh
 // allocations and assert bit-identical weights (the pooled-vs-allocating
 // equivalence contract).
 var (
-	newTrainWorkspace   = mat.NewWorkspace
+	newTrainWorkspace   = mat.NewWorkspaceOf[float64]
 	newTrainWorkspace32 = mat.NewWorkspaceOf[float32]
 )
 

@@ -26,7 +26,7 @@ func referenceGCNNorm(adj [][]graph.NodeID) []float64 {
 }
 
 func referenceGCNProp(adj [][]graph.NodeID, norm []float64, h *mat.Matrix) *mat.Matrix {
-	out := mat.New(h.Rows, h.Cols)
+	out := mat.NewOf[float64](h.Rows, h.Cols)
 	for v := range adj {
 		dst := out.Row(v)
 		// Self loop.
@@ -39,7 +39,7 @@ func referenceGCNProp(adj [][]graph.NodeID, norm []float64, h *mat.Matrix) *mat.
 }
 
 func referenceNeighborMean(adj [][]graph.NodeID, h *mat.Matrix) *mat.Matrix {
-	out := mat.New(h.Rows, h.Cols)
+	out := mat.NewOf[float64](h.Rows, h.Cols)
 	for v := range adj {
 		if len(adj[v]) == 0 {
 			continue
@@ -57,7 +57,7 @@ func referenceNeighborMean(adj [][]graph.NodeID, h *mat.Matrix) *mat.Matrix {
 }
 
 func referenceNeighborMeanTranspose(adj [][]graph.NodeID, g *mat.Matrix) *mat.Matrix {
-	out := mat.New(g.Rows, g.Cols)
+	out := mat.NewOf[float64](g.Rows, g.Cols)
 	for v := range adj {
 		if len(adj[v]) == 0 {
 			continue
@@ -104,7 +104,7 @@ func assertBitEqual(t *testing.T, name string, got, want *mat.Matrix) {
 func TestAggregationKernelsMatchReferenceBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	adj := randUndirectedAdj(rng, 400, 3200)
-	x := mat.RandNormal(rng, 400, 16, 0, 1)
+	x := mat.RandNormalOf[float64](rng, 400, 16, 0, 1)
 
 	norm := referenceGCNNorm(adj)
 	wantGCN := referenceGCNProp(adj, norm, x)

@@ -41,8 +41,8 @@ type TrainStateOf[T mat.Float] struct {
 // TrainState is the float64 reference instantiation of TrainStateOf.
 type TrainState = TrainStateOf[float64]
 
-// TrainOptsOf carries the crash-safety knobs threaded through Train,
-// TrainGCN and their fit loops. The zero value trains exactly like the
+// TrainOptsOf carries the crash-safety knobs threaded through TrainCtx,
+// TrainGCNCtx and their fit loops. The zero value trains exactly like the
 // pre-checkpoint code path.
 type TrainOptsOf[T mat.Float] struct {
 	// Ctx, when non-nil, cancels training at the next epoch boundary.

@@ -194,7 +194,7 @@ func InducedAdjacency(a *sparse.Matrix, keep func(NodeID) bool) *sparse.Matrix {
 		}
 		rowPtr[u+1] = len(colIdx)
 	}
-	return sparse.New(a.Rows, a.Cols, rowPtr, colIdx, nil)
+	return sparse.NewOf[float64](a.Rows, a.Cols, rowPtr, colIdx, nil)
 }
 
 // CountWithinHops returns how many of the candidate nodes have at least

@@ -525,7 +525,7 @@ func (s *rowStore) packed() (m *sparse.Matrix, fullSort bool) {
 	s.markColDirty(n)
 	s.spliceRows(colIdx, rowPtr, s.lastM, func(r int) int32 { return int32(r) }, nil)
 
-	m = sparse.New(n, n, rowPtr, colIdx, nil)
+	m = sparse.NewOf[float64](n, n, rowPtr, colIdx, nil)
 	m.InstallMeanNormalized(m.WithValues(nil, meanScale))
 
 	if n >= sparse.ReorderMinRows {
@@ -549,7 +549,7 @@ func (s *rowStore) packed() (m *sparse.Matrix, fullSort bool) {
 				oldPM = s.lastPM
 			}
 			s.spliceRows(pmCol, pmRowPtr, oldPM, func(r int) int32 { return p.Perm[r] }, p.Inv)
-			pm := sparse.New(n, n, pmRowPtr, pmCol, nil)
+			pm := sparse.NewOf[float64](n, n, pmRowPtr, pmCol, nil)
 			// Gather the mean scales through the permutation instead of
 			// recomputing (a degree is a degree in any row order, so the
 			// gathered scales are bit-identical).

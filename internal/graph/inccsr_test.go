@@ -69,7 +69,7 @@ func (r *refGraph) csr() *sparse.Matrix {
 			colIdx = append(colIdx, int32(e.to))
 		}
 	}
-	return sparse.New(n, n, rowPtr, colIdx, nil)
+	return sparse.NewOf[float64](n, n, rowPtr, colIdx, nil)
 }
 
 // checkRows asserts g's rows hold exactly the reference entries — the
@@ -214,23 +214,23 @@ func checkPermutedKernel(t *testing.T, pc, rc *sparse.Matrix, tag string) {
 	t.Helper()
 	n := pc.Rows
 	const cols = 3
-	x := mat.New(n, cols)
+	x := mat.NewOf[float64](n, cols)
 	for i := 0; i < n; i++ {
 		for c := 0; c < cols; c++ {
 			x.Set(i, c, float64(1+(i*7+c*3)%11)/3)
 		}
 	}
-	plain := mat.New(n, cols)
-	rc.SymNormalized().SpMM(plain, x)
+	plain := mat.NewOf[float64](n, cols)
+	rc.SymNormalized().SpMMInto(plain, x)
 
 	pv, prp := pc.Reordered()
-	xp := mat.New(n, cols)
+	xp := mat.NewOf[float64](n, cols)
 	for r := 0; r < n; r++ {
 		copy(xp.Row(r), x.Row(int(prp.Perm[r])))
 	}
-	yp := mat.New(n, cols)
-	pv.SymNormalized().SpMM(yp, xp)
-	got := mat.New(n, cols)
+	yp := mat.NewOf[float64](n, cols)
+	pv.SymNormalized().SpMMInto(yp, xp)
+	got := mat.NewOf[float64](n, cols)
 	sparse.ScatterRowsInto(prp, got, yp)
 	if !f64bitsEq(got.Data, plain.Data) {
 		t.Fatalf("%s: permuted SpMM scattered back differs from plain run", tag)
@@ -379,11 +379,11 @@ func TestCSRPatchConcurrentReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for m := range snaps {
-				x := mat.New(m.Rows, 2)
+				x := mat.NewOf[float64](m.Rows, 2)
 				for i := range x.Data {
 					x.Data[i] = 1
 				}
-				dst := mat.New(m.Rows, 2)
+				dst := mat.NewOf[float64](m.Rows, 2)
 				m.SymNormalized().SpMMInto(dst, x)
 				m.MeanNormalized().SpMMInto(dst, x)
 			}

@@ -55,27 +55,27 @@ func PropagateFull(a *sparse.Matrix, seeds map[graph.NodeID]int, classes, layers
 		Classes:      classes,
 		Layers:       layers,
 		F:            make([]*mat.Matrix, layers),
-		Z:            mat.New(n, classes),
+		Z:            mat.NewOf[float64](n, classes),
 		seeds:        normalizeSeeds(seeds, classes),
 		LastFrontier: n,
 	}
 	s := a.SymNormalized()
-	f := mat.GetBuf(n, classes)
+	f := mat.GetBufOf[float64](n, classes)
 	for id, c := range st.seeds {
 		f.Set(int(id), c, 1)
 	}
 	for l := 0; l < layers; l++ {
-		next := mat.New(n, classes)
-		s.SpMM(next, f)
+		next := mat.NewOf[float64](n, classes)
+		s.SpMMInto(next, f)
 		st.F[l] = next
 		mat.AddInPlace(st.Z, next)
 		if l == 0 {
-			mat.PutBuf(f)
+			mat.PutBufOf(f)
 		}
 		f = next
 	}
 	if layers == 0 {
-		mat.PutBuf(f)
+		mat.PutBufOf(f)
 	}
 	return st
 }
@@ -188,7 +188,7 @@ func PropagateDirty(a *sparse.Matrix, seeds map[graph.NodeID]int, classes, layer
 // rows zeroed — matching how a full run treats never-seeded, just-added
 // vertices.
 func growRows(src *mat.Matrix, m int) *mat.Matrix {
-	out := mat.New(m, src.Cols)
+	out := mat.NewOf[float64](m, src.Cols)
 	copy(out.Data, src.Data)
 	return out
 }

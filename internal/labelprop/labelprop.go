@@ -9,6 +9,11 @@
 // probability distribution. Nodes with no path to any seed remain
 // unattributed (all-zero rows) — the paper's stated limitation for events
 // built from never-before-seen IOCs.
+//
+// Every entry point takes the adjacency as a CSR snapshot
+// (graph.Graph.CSR(), or sparse.FromAdj for plain adjacency lists):
+// PropagateCSR/AttributeCSR run the method once, PropagateFull and
+// PropagateDirty keep the per-iteration state for incremental updates.
 package labelprop
 
 import (
@@ -17,28 +22,21 @@ import (
 	"trail/internal/sparse"
 )
 
-// Propagate runs `layers` iterations of Equation 1 over an adjacency
-// snapshot and returns the accumulated mass Z = sum_n F_n (|V| x classes,
-// before softmax). Accumulating over iterations keeps the method's
-// "distance from each seed" semantics on bipartite regions of the TKG
-// (event-IOC edges alternate sides, so a single F_N is zero at every
-// other hop count); a node reached at hop h first contributes at
-// iteration h, so LP-kL still only sees k-hop resource reuse. seeds maps
-// labelled nodes to class indices in [0, classes).
+// PropagateCSR runs `layers` iterations of Equation 1 over an unweighted
+// adjacency CSR (as returned by graph.Graph.CSR()) and returns the
+// accumulated mass Z = sum_n F_n (|V| x classes, before softmax).
+// Accumulating over iterations keeps the method's "distance from each
+// seed" semantics on bipartite regions of the TKG (event-IOC edges
+// alternate sides, so a single F_N is zero at every other hop count); a
+// node reached at hop h first contributes at iteration h, so LP-kL still
+// only sees k-hop resource reuse. seeds maps labelled nodes to class
+// indices in [0, classes).
 //
-// Propagate converts the adjacency to CSR on every call; callers that
-// already hold a graph should use PropagateCSR with graph.Graph.CSR() to
-// share one snapshot across runs.
-func Propagate(adj [][]graph.NodeID, seeds map[graph.NodeID]int, classes, layers int) *mat.Matrix {
-	return PropagateCSR(sparse.FromAdj(adj), seeds, classes, layers)
-}
-
-// PropagateCSR is Propagate over an unweighted adjacency CSR (as
-// returned by graph.Graph.CSR()): each layer is one SpMM against the
-// symmetrically normalised operator D^{-1/2} A D^{-1/2} (computed once
-// per snapshot — the operator is cached on the CSR).
+// Each layer is one SpMM against the symmetrically normalised operator
+// D^{-1/2} A D^{-1/2}, computed once per snapshot and cached on the CSR,
+// so runs that share one snapshot share the operator.
 func PropagateCSR(a *sparse.Matrix, seeds map[graph.NodeID]int, classes, layers int) *mat.Matrix {
-	acc := mat.New(a.Rows, classes)
+	acc := mat.NewOf[float64](a.Rows, classes)
 	PropagateCSRInto(acc, a, seeds, classes, layers)
 	return acc
 }
@@ -64,8 +62,8 @@ func PropagateCSRInto(dst *mat.Matrix, a *sparse.Matrix, seeds map[graph.NodeID]
 	s := ra.SymNormalized()
 	// f must start zeroed (seeding writes only the seed entries); next is
 	// fully overwritten by the first SpMM, so it can skip the memset.
-	f := mat.GetBuf(n, classes)
-	next := mat.GetBufDirty(n, classes)
+	f := mat.GetBufOf[float64](n, classes)
+	next := mat.GetBufDirtyOf[float64](n, classes)
 	seedRow := func(id graph.NodeID) int {
 		if perm != nil {
 			return int(perm.Inv[id])
@@ -80,20 +78,20 @@ func PropagateCSRInto(dst *mat.Matrix, a *sparse.Matrix, seeds map[graph.NodeID]
 	acc := dst
 	if perm != nil {
 		// Accumulate in permuted space, scatter once at the end.
-		acc = mat.GetBufDirty(n, classes)
+		acc = mat.GetBufDirtyOf[float64](n, classes)
 	}
 	acc.Zero()
 	for l := 0; l < layers; l++ {
-		s.SpMM(next, f)
+		s.SpMMInto(next, f)
 		f, next = next, f
 		mat.AddInPlace(acc, f)
 	}
 	if perm != nil {
 		sparse.ScatterRowsInto(perm, dst, acc)
-		mat.PutBuf(acc)
+		mat.PutBufOf(acc)
 	}
-	mat.PutBuf(f)
-	mat.PutBuf(next)
+	mat.PutBufOf(f)
+	mat.PutBufOf(next)
 }
 
 // Distribution converts a propagation row into a probability
@@ -133,21 +131,15 @@ func Predict(f *mat.Matrix, queries []graph.NodeID) []int {
 	return out
 }
 
-// Attribute is the end-to-end convenience used by the experiments: seed
-// with the labelled events, propagate `layers` steps, and predict the
-// masked events.
-func Attribute(adj [][]graph.NodeID, seeds map[graph.NodeID]int, queries []graph.NodeID, classes, layers int) []int {
-	f := Propagate(adj, seeds, classes, layers)
-	return Predict(f, queries)
-}
-
-// AttributeCSR is Attribute over a shared CSR snapshot. The propagation
+// AttributeCSR is the end-to-end convenience used by the experiments:
+// seed with the labelled events, propagate `layers` steps over a shared
+// CSR snapshot, and predict the masked events. The propagation
 // accumulator is borrowed from the shared pool: only the returned slice
 // is allocated.
 func AttributeCSR(a *sparse.Matrix, seeds map[graph.NodeID]int, queries []graph.NodeID, classes, layers int) []int {
-	f := mat.GetBuf(a.Rows, classes)
+	f := mat.GetBufOf[float64](a.Rows, classes)
 	PropagateCSRInto(f, a, seeds, classes, layers)
 	out := Predict(f, queries)
-	mat.PutBuf(f)
+	mat.PutBufOf(f)
 	return out
 }

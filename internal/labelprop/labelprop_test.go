@@ -27,7 +27,7 @@ func chain(n int) [][]graph.NodeID {
 func TestPropagateReachesWithinLayers(t *testing.T) {
 	adj := chain(5)
 	seeds := map[graph.NodeID]int{0: 0}
-	f2 := Propagate(adj, seeds, 2, 2)
+	f2 := PropagateCSR(sparse.FromAdj(adj), seeds, 2, 2)
 	// Node 2 is exactly 2 hops away: reachable at 2 layers.
 	if f2.At(2, 0) <= 0 {
 		t.Fatal("2-hop node not reached in 2 layers")
@@ -36,7 +36,7 @@ func TestPropagateReachesWithinLayers(t *testing.T) {
 	if f2.At(3, 0) != 0 {
 		t.Fatalf("3-hop node reached in 2 layers: %v", f2.At(3, 0))
 	}
-	f3 := Propagate(adj, seeds, 2, 3)
+	f3 := PropagateCSR(sparse.FromAdj(adj), seeds, 2, 3)
 	if f3.At(3, 0) <= 0 {
 		t.Fatal("3-hop node not reached in 3 layers")
 	}
@@ -47,7 +47,7 @@ func TestPredictUnreachableIsMinusOne(t *testing.T) {
 	// Add an isolated node.
 	adj = append(adj, nil)
 	seeds := map[graph.NodeID]int{0: 1}
-	preds := Predict(Propagate(adj, seeds, 2, 4), []graph.NodeID{2, 3})
+	preds := Predict(PropagateCSR(sparse.FromAdj(adj), seeds, 2, 4), []graph.NodeID{2, 3})
 	if preds[0] != 1 {
 		t.Fatalf("reachable node predicted %d", preds[0])
 	}
@@ -60,7 +60,7 @@ func TestCloserSeedWins(t *testing.T) {
 	// 0(seed A) - 1 - 2(query) - 3 - 4 - 5(seed B): query is closer to A.
 	adj := chain(6)
 	seeds := map[graph.NodeID]int{0: 0, 5: 1}
-	f := Propagate(adj, seeds, 2, 4)
+	f := PropagateCSR(sparse.FromAdj(adj), seeds, 2, 4)
 	row := f.Row(2)
 	if row[0] <= row[1] {
 		t.Fatalf("closer seed should dominate: %v", row)
@@ -89,7 +89,7 @@ func TestHighDegreeHubDilutesSignal(t *testing.T) {
 		g.AddEdge(4, graph.NodeID(i), graph.EdgeInReport)
 	}
 	adj := g.Adjacency()
-	f := Propagate(adj, map[graph.NodeID]int{0: 0, 3: 1}, 2, 2)
+	f := PropagateCSR(sparse.FromAdj(adj), map[graph.NodeID]int{0: 0, 3: 1}, 2, 2)
 	if f.At(2, 0) <= f.At(5, 1) {
 		t.Fatalf("hub path %v should carry less mass than private path %v",
 			f.At(5, 1), f.At(2, 0))
@@ -114,7 +114,7 @@ func TestDistribution(t *testing.T) {
 
 func TestAttributeEndToEnd(t *testing.T) {
 	adj := chain(4)
-	preds := Attribute(adj, map[graph.NodeID]int{0: 1}, []graph.NodeID{1, 2, 3}, 2, 4)
+	preds := AttributeCSR(sparse.FromAdj(adj), map[graph.NodeID]int{0: 1}, []graph.NodeID{1, 2, 3}, 2, 4)
 	for i, p := range preds {
 		if p != 1 {
 			t.Fatalf("query %d predicted %d", i, p)
@@ -126,20 +126,20 @@ func TestAttributeEndToEnd(t *testing.T) {
 // of Eq. 1, kept verbatim as the equivalence oracle for the CSR path.
 func referencePropagate(adj [][]graph.NodeID, seeds map[graph.NodeID]int, classes, layers int) *mat.Matrix {
 	n := len(adj)
-	f := mat.New(n, classes)
+	f := mat.NewOf[float64](n, classes)
 	for id, c := range seeds {
 		if c >= 0 && c < classes {
 			f.Set(int(id), c, 1)
 		}
 	}
-	acc := mat.New(n, classes)
+	acc := mat.NewOf[float64](n, classes)
 	invSqrtDeg := make([]float64, n)
 	for u := range adj {
 		if d := len(adj[u]); d > 0 {
 			invSqrtDeg[u] = 1 / math.Sqrt(float64(d))
 		}
 	}
-	next := mat.New(n, classes)
+	next := mat.NewOf[float64](n, classes)
 	for l := 0; l < layers; l++ {
 		next.Zero()
 		for u := range adj {
@@ -183,12 +183,12 @@ func TestPropagateMatchesReferenceBitIdentical(t *testing.T) {
 	want := referencePropagate(adj, seeds, 5, 4)
 	for _, workers := range []int{1, 8} {
 		prev := par.SetWorkers(workers)
-		got := Propagate(adj, seeds, 5, 4)
+		got := PropagateCSR(sparse.FromAdj(adj), seeds, 5, 4)
 		fromCSR := PropagateCSR(g.CSR(), seeds, 5, 4)
 		par.SetWorkers(prev)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("workers=%d: Propagate differs from reference at %d: %v vs %v",
+				t.Fatalf("workers=%d: FromAdj propagation differs from reference at %d: %v vs %v",
 					workers, i, got.Data[i], want.Data[i])
 			}
 			if fromCSR.Data[i] != want.Data[i] {
@@ -208,7 +208,7 @@ func TestPropagateCSRIntoMatchesPropagateCSR(t *testing.T) {
 	seeds := map[graph.NodeID]int{0: 0, 11: 1}
 	a := sparse.FromAdj(adj)
 	want := PropagateCSR(a, seeds, 2, 4)
-	dst := mat.New(a.Rows, 2)
+	dst := mat.NewOf[float64](a.Rows, 2)
 	for rep := 0; rep < 3; rep++ {
 		dst.Fill(math.Inf(-1)) // dst is overwritten, not accumulated into
 		PropagateCSRInto(dst, a, seeds, 2, 4)
@@ -224,7 +224,7 @@ func TestPropagateCSRIntoMatchesPropagateCSR(t *testing.T) {
 			t.Fatalf("expected panic on dst shape mismatch")
 		}
 	}()
-	PropagateCSRInto(mat.New(a.Rows-1, 2), a, seeds, 2, 4)
+	PropagateCSRInto(mat.NewOf[float64](a.Rows-1, 2), a, seeds, 2, 4)
 }
 
 // TestPropagateReorderedBitIdentical forces the cache-aware
@@ -286,21 +286,6 @@ func TestPropagateReorderedBitIdentical(t *testing.T) {
 				t.Fatalf("workers=%d: reordered prediction %d: %d vs %d",
 					workers, i, gotPreds[i], wantPreds[i])
 			}
-		}
-	}
-}
-
-// TestAttributeCSRMatchesAttribute pins the pooled end-to-end path to
-// the allocating one.
-func TestAttributeCSRMatchesAttribute(t *testing.T) {
-	adj := chain(10)
-	seeds := map[graph.NodeID]int{0: 0, 9: 1}
-	queries := []graph.NodeID{2, 5, 7}
-	want := Attribute(adj, seeds, queries, 2, 3)
-	got := AttributeCSR(sparse.FromAdj(adj), seeds, queries, 2, 3)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("query %d: %d vs %d", i, got[i], want[i])
 		}
 	}
 }

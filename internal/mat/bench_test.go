@@ -17,7 +17,7 @@ func BenchmarkMatMulInto(b *testing.B) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
 	a, x := benchPair(rng, 128)
-	dst := New(128, 128)
+	dst := NewOf[float64](128, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulInto(dst, a, x)
@@ -38,7 +38,7 @@ func BenchmarkMatMulTransAInto(b *testing.B) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(2))
 	a, x := benchPair(rng, 128)
-	dst := New(128, 128)
+	dst := NewOf[float64](128, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulTransAInto(dst, a, x)
@@ -49,7 +49,7 @@ func BenchmarkMatMulTransBInto(b *testing.B) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(3))
 	a, x := benchPair(rng, 128)
-	dst := New(128, 128)
+	dst := NewOf[float64](128, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulTransBInto(dst, a, x)
@@ -61,7 +61,7 @@ func BenchmarkAddBiasReLUInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	x := randMat(rng, 256, 64)
 	bias := make([]float64, 64)
-	mask := New(256, 64)
+	mask := NewOf[float64](256, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AddBiasReLUInto(x, bias, mask)
@@ -80,7 +80,7 @@ func BenchmarkSoftmaxCrossEntropyInto(b *testing.B) {
 			rows = append(rows, i)
 		}
 	}
-	grad := New(512, 22)
+	grad := NewOf[float64](512, 22)
 	probs := make([]float64, 22)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -93,7 +93,7 @@ func BenchmarkSoftmaxCrossEntropyInto(b *testing.B) {
 // Reset, two matrix borrows (one zeroed, one dirty), one vector.
 func BenchmarkWorkspaceCycle(b *testing.B) {
 	b.ReportAllocs()
-	ws := NewWorkspace()
+	ws := NewWorkspaceOf[float64]()
 	defer ws.Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -108,7 +108,7 @@ func BenchmarkWorkspaceCycle(b *testing.B) {
 // BenchmarkPoolGetPut measures the shape-keyed pool round trip alone.
 func BenchmarkPoolGetPut(b *testing.B) {
 	b.ReportAllocs()
-	p := NewPool()
+	p := NewPoolOf[float64]()
 	p.Put(p.Get(64, 64)) // seed the free list
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

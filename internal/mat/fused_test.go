@@ -12,7 +12,7 @@ import (
 // model weights. Every comparison here is ==, not approximate.
 
 func randMat(rng *rand.Rand, rows, cols int) *Matrix {
-	m := New(rows, cols)
+	m := NewOf[float64](rows, cols)
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
 	}
@@ -23,7 +23,7 @@ func randMat(rng *rand.Rand, rows, cols int) *Matrix {
 // an Into kernel fully overwrites its destination (the GetDirty
 // contract).
 func dirty(rows, cols int) *Matrix {
-	m := New(rows, cols)
+	m := NewOf[float64](rows, cols)
 	m.Fill(math.Pi * 1e9)
 	return m
 }
@@ -77,7 +77,7 @@ func TestAddBiasReLUIntoMatchesComposition(t *testing.T) {
 	// Reference: AddRowVector then relu with mask, on copies.
 	ref := x.Clone()
 	ref.AddRowVector(bias)
-	wantMask := New(6, 5)
+	wantMask := NewOf[float64](6, 5)
 	for i, v := range ref.Data {
 		if v <= 0 {
 			ref.Data[i] = 0
@@ -101,7 +101,7 @@ func TestReLUMaskIntoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := randMat(rng, 7, 4)
 	ref := x.Clone()
-	wantMask := New(7, 4)
+	wantMask := NewOf[float64](7, 4)
 	for i, v := range ref.Data {
 		if v <= 0 {
 			ref.Data[i] = 0
@@ -144,7 +144,7 @@ func TestCopyIntoOverwritesDirtyDst(t *testing.T) {
 // SAGE/GCN step functions: per-target softmax, log floor, copy-subtract-
 // scale gradient.
 func referenceSoftmaxCE(logits *Matrix, rows []int, labels []int) (*Matrix, float64) {
-	grad := New(logits.Rows, logits.Cols)
+	grad := NewOf[float64](logits.Rows, logits.Cols)
 	probs := make([]float64, logits.Cols)
 	inv := 1 / float64(len(rows))
 	loss := 0.0
@@ -173,7 +173,7 @@ func TestSoftmaxCrossEntropyIntoMatchesReference(t *testing.T) {
 	wantGrad, wantLoss := referenceSoftmaxCE(logits, rows, labels)
 	// The kernel's contract requires a zeroed grad: untargeted rows are
 	// left untouched.
-	grad := New(12, 5)
+	grad := NewOf[float64](12, 5)
 	probs := make([]float64, 5)
 	loss := SoftmaxCrossEntropyInto(grad, logits, rows, labels, probs)
 	if math.Float64bits(loss) != math.Float64bits(wantLoss) {
@@ -183,8 +183,8 @@ func TestSoftmaxCrossEntropyIntoMatchesReference(t *testing.T) {
 }
 
 func TestSoftmaxCrossEntropyIntoEmptyRows(t *testing.T) {
-	logits := New(3, 2)
-	grad := New(3, 2)
+	logits := NewOf[float64](3, 2)
+	grad := NewOf[float64](3, 2)
 	if loss := SoftmaxCrossEntropyInto(grad, logits, []int{}, []int{0, 0, 0}, make([]float64, 2)); loss != 0 {
 		t.Fatalf("empty target rows should yield zero loss, got %v", loss)
 	}
@@ -196,15 +196,15 @@ func TestMatMulIntoSteadyStateZeroAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(10))
 	a, b := randMat(rng, 32, 32), randMat(rng, 32, 32)
-	dst := New(32, 32)
+	dst := NewOf[float64](32, 32)
 	if allocs := testing.AllocsPerRun(50, func() { MatMulInto(dst, a, b) }); allocs != 0 {
 		t.Fatalf("MatMulInto allocates %v times per call", allocs)
 	}
-	ta := New(32, 32)
+	ta := NewOf[float64](32, 32)
 	if allocs := testing.AllocsPerRun(50, func() { MatMulTransAInto(ta, a, b) }); allocs != 0 {
 		t.Fatalf("MatMulTransAInto allocates %v times per call", allocs)
 	}
-	tb := New(32, 32)
+	tb := NewOf[float64](32, 32)
 	if allocs := testing.AllocsPerRun(50, func() { MatMulTransBInto(tb, a, b) }); allocs != 0 {
 		t.Fatalf("MatMulTransBInto allocates %v times per call", allocs)
 	}

@@ -25,8 +25,8 @@ func TestMatMulKnown(t *testing.T) {
 
 func TestMatMulTransVariantsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	a := RandNormal(rng, 5, 7, 0, 1)
-	b := RandNormal(rng, 7, 3, 0, 1)
+	a := RandNormalOf[float64](rng, 5, 7, 0, 1)
+	b := RandNormalOf[float64](rng, 7, 3, 0, 1)
 	direct := MatMul(a, b)
 	viaTB := MatMulTransB(a, b.T())
 	viaTA := MatMulTransA(a.T(), b)
@@ -45,7 +45,7 @@ func TestTransposeInvolution(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		rows := 1 + rng.Intn(8)
 		cols := 1 + rng.Intn(8)
-		m := RandNormal(rng, rows, cols, 0, 1)
+		m := RandNormalOf[float64](rng, rows, cols, 0, 1)
 		tt := m.T().T()
 		if tt.Rows != m.Rows || tt.Cols != m.Cols {
 			return false
@@ -106,7 +106,7 @@ func TestSoftmaxShiftInvariant(t *testing.T) {
 
 func TestL2NormalizeRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	m := RandNormal(rng, 10, 4, 0, 3)
+	m := RandNormalOf[float64](rng, 10, 4, 0, 3)
 	m.SetRow(3, []float64{0, 0, 0, 0}) // zero row must survive untouched
 	m.L2NormalizeRows()
 	for i := 0; i < m.Rows; i++ {
@@ -171,7 +171,7 @@ func TestStatsHelpers(t *testing.T) {
 
 func TestGlorotScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	m := GlorotUniform(rng, 100, 100)
+	m := GlorotUniformOf[float64](rng, 100, 100)
 	limit := math.Sqrt(6.0 / 200.0)
 	for _, v := range m.Data {
 		if v < -limit || v > limit {

@@ -7,8 +7,8 @@
 // # Precision as a type parameter
 //
 // Every kernel is generic over the element type (Float = float32 |
-// float64): Dense[T] is the storage type, Matrix and Matrix32 are the
-// concrete aliases the rest of the repository reads. float64 remains the
+// float64): Dense[T] is the storage type, and Matrix is the float64 alias
+// the non-generic packages read. float64 remains the
 // reference precision — the float64 instantiation of every generic
 // kernel is arithmetically identical, bit for bit, to the pre-generic
 // float64 code it replaced. The float32 instantiation halves the working
@@ -89,13 +89,6 @@ type Dense[T Float] struct {
 // arithmetic reference the float32 path is pinned against.
 type Matrix = Dense[float64]
 
-// Matrix32 is the float32 storage instantiation for bandwidth-bound hot
-// paths.
-type Matrix32 = Dense[float32]
-
-// New returns a zeroed rows x cols float64 matrix.
-func New(rows, cols int) *Matrix { return NewOf[float64](rows, cols) }
-
 // NewOf returns a zeroed rows x cols matrix of the given element type.
 func NewOf[T Float](rows, cols int) *Dense[T] {
 	if rows < 0 || cols < 0 {
@@ -108,10 +101,10 @@ func NewOf[T Float](rows, cols int) *Dense[T] {
 // copied.
 func FromRows(rows [][]float64) *Matrix {
 	if len(rows) == 0 {
-		return New(0, 0)
+		return NewOf[float64](0, 0)
 	}
 	cols := len(rows[0])
-	m := New(len(rows), cols)
+	m := NewOf[float64](len(rows), cols)
 	for i, r := range rows {
 		if len(r) != cols {
 			panic(fmt.Sprintf("mat: ragged row %d: got %d cols, want %d", i, len(r), cols))

@@ -12,10 +12,10 @@ func TestTolWithin(t *testing.T) {
 		ok        bool
 	}{
 		{1.0, 1.0, true},
-		{1.0, 1.009, true},       // inside rtol
-		{1.0, 1.02, false},       // outside rtol
-		{1e-5, 0, true},          // inside atol near zero
-		{2e-4, 0, false},         // outside atol near zero
+		{1.0, 1.009, true}, // inside rtol
+		{1.0, 1.02, false}, // outside rtol
+		{1e-5, 0, true},    // inside atol near zero
+		{2e-4, 0, false},   // outside atol near zero
 		{math.NaN(), math.NaN(), true},
 		{math.NaN(), 1, false},
 		{math.Inf(1), math.Inf(1), true},

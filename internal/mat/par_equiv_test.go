@@ -30,9 +30,9 @@ func runBoth(f func() *mat.Matrix) (serial, parallel *mat.Matrix) {
 // worker count, on shapes large enough to cross the parallel threshold.
 func TestDenseKernelsSerialParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	a := mat.RandNormal(rng, 120, 90, 0, 1)
-	b := mat.RandNormal(rng, 90, 110, 0, 1)
-	c := mat.RandNormal(rng, 120, 110, 0, 1)
+	a := mat.RandNormalOf[float64](rng, 120, 90, 0, 1)
+	b := mat.RandNormalOf[float64](rng, 90, 110, 0, 1)
+	c := mat.RandNormalOf[float64](rng, 120, 110, 0, 1)
 
 	s, p := runBoth(func() *mat.Matrix { return mat.MatMul(a, b) })
 	mattest.BitEqual(t, "MatMulInto", s, p)
@@ -60,7 +60,7 @@ func TestDenseKernelsFloat32SerialParallelBitIdentical(t *testing.T) {
 	a := mat.RandNormalOf[float32](rng, 120, 90, 0, 1)
 	b := mat.RandNormalOf[float32](rng, 90, 110, 0, 1)
 
-	run := func(f func() *mat.Matrix32) (serial, parallel *mat.Matrix32) {
+	run := func(f func() *mat.Dense[float32]) (serial, parallel *mat.Dense[float32]) {
 		prev := par.SetWorkers(1)
 		serial = f()
 		par.SetWorkers(8)
@@ -68,11 +68,11 @@ func TestDenseKernelsFloat32SerialParallelBitIdentical(t *testing.T) {
 		par.SetWorkers(prev)
 		return serial, parallel
 	}
-	s, p := run(func() *mat.Matrix32 { return mat.MatMul(a, b) })
+	s, p := run(func() *mat.Dense[float32] { return mat.MatMul(a, b) })
 	mattest.BitEqual(t, "MatMulInto/f32", s, p)
-	s, p = run(func() *mat.Matrix32 { return mat.MatMulTransB(a, a) })
+	s, p = run(func() *mat.Dense[float32] { return mat.MatMulTransB(a, a) })
 	mattest.BitEqual(t, "MatMulTransB/f32", s, p)
-	s, p = run(func() *mat.Matrix32 { return a.Clone().L2NormalizeRows() })
+	s, p = run(func() *mat.Dense[float32] { return a.Clone().L2NormalizeRows() })
 	mattest.BitEqual(t, "L2NormalizeRows/f32", s, p)
 }
 
@@ -81,11 +81,11 @@ func TestDenseKernelsFloat32SerialParallelBitIdentical(t *testing.T) {
 // them bit for bit.
 func TestParallelKernelsMatchReferenceLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	a := mat.RandNormal(rng, 70, 130, 0, 1)
-	b := mat.RandNormal(rng, 130, 80, 0, 1)
+	a := mat.RandNormalOf[float64](rng, 70, 130, 0, 1)
+	b := mat.RandNormalOf[float64](rng, 130, 80, 0, 1)
 
 	refMatMul := func(a, b *mat.Matrix) *mat.Matrix {
-		out := mat.New(a.Rows, b.Cols)
+		out := mat.NewOf[float64](a.Rows, b.Cols)
 		for i := 0; i < a.Rows; i++ {
 			arow := a.Row(i)
 			drow := out.Row(i)
@@ -102,7 +102,7 @@ func TestParallelKernelsMatchReferenceLoops(t *testing.T) {
 		return out
 	}
 	refTransA := func(a, b *mat.Matrix) *mat.Matrix {
-		out := mat.New(a.Cols, b.Cols)
+		out := mat.NewOf[float64](a.Cols, b.Cols)
 		for k := 0; k < a.Rows; k++ {
 			arow := a.Row(k)
 			brow := b.Row(k)
@@ -131,8 +131,8 @@ func TestParallelKernelsMatchReferenceLoops(t *testing.T) {
 // Float32Tol of the float64 product on unit-scale operands.
 func TestFloat32MatMulCloseToFloat64(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	a := mat.RandNormal(rng, 50, 60, 0, 1)
-	b := mat.RandNormal(rng, 60, 40, 0, 1)
+	a := mat.RandNormalOf[float64](rng, 50, 60, 0, 1)
+	b := mat.RandNormalOf[float64](rng, 60, 40, 0, 1)
 	a32, b32 := mat.Cast[float32](a), mat.Cast[float32](b)
 	mattest.Close(t, "MatMul f32 vs f64", mat.MatMul(a32, b32), mat.MatMul(a, b), mattest.Float32Tol)
 }

@@ -8,19 +8,18 @@ import (
 // This file implements the memory-discipline layer of DESIGN.md §3e: a
 // shape-keyed pool of matrix buffers plus a scoped Workspace arena, so the
 // training and inference hot loops run allocation-free in steady state.
-// Pool and Workspace are generic over the element type; the float64
-// aliases (Pool, Workspace) keep the pre-generic call sites unchanged,
-// and each concrete precision has its own shared pool so float32 and
-// float64 buffers never mix.
+// Pool and Workspace are generic over the element type, and each
+// concrete precision has its own shared pool so float32 and float64
+// buffers never mix.
 //
 // Ownership rules:
 //
-//   - A matrix obtained from Get/GetBuf is owned by the caller until it is
-//     returned with Put/PutBuf. Returning it transfers ownership back to
+//   - A matrix obtained from Get/GetBufOf is owned by the caller until it
+//     is returned with Put/PutBufOf. Returning it transfers ownership back to
 //     the pool; using (or re-Putting) it afterwards is a bug, and Put
 //     panics on a detectable double-Put.
 //   - Matrices handed out by Get are always fully zeroed, exactly like
-//     New, so a pooled kernel and an allocating kernel see identical
+//     NewOf, so a pooled kernel and an allocating kernel see identical
 //     inputs. GetDirty skips the zeroing and may return arbitrary stale
 //     contents; it is only for buffers whose first consumer fully
 //     overwrites every element (CopyInto, SelectRowsInto, MatMul*Into,
@@ -39,12 +38,6 @@ type PoolOf[T Float] struct {
 	// double-Put fails loudly instead of handing one buffer to two owners.
 	pooled map[*Dense[T]]struct{}
 }
-
-// Pool is the float64 instantiation of PoolOf.
-type Pool = PoolOf[float64]
-
-// NewPool returns an empty float64 pool.
-func NewPool() *Pool { return NewPoolOf[float64]() }
 
 // NewPoolOf returns an empty pool for element type T.
 func NewPoolOf[T Float]() *PoolOf[T] {
@@ -104,12 +97,12 @@ func (p *PoolOf[T]) Put(m *Dense[T]) {
 	p.free[key] = append(p.free[key], m)
 }
 
-// sharedPool and sharedPool32 back the package-level GetBuf/PutBuf
-// helpers and every Workspace created with NewWorkspace/NewWorkspaceOf.
+// sharedPool and sharedPool32 back the package-level GetBufOf/PutBufOf
+// helpers and every Workspace created with NewWorkspaceOf.
 // One pool per concrete precision: a float32 buffer can never satisfy a
 // float64 borrow.
 var (
-	sharedPool   = NewPool()
+	sharedPool   = NewPoolOf[float64]()
 	sharedPool32 = NewPoolOf[float32]()
 )
 
@@ -125,16 +118,6 @@ func SharedPoolOf[T Float]() *PoolOf[T] {
 	}
 	return NewPoolOf[T]()
 }
-
-// GetBuf borrows a zeroed rows x cols float64 matrix from the shared pool.
-func GetBuf(rows, cols int) *Matrix { return sharedPool.Get(rows, cols) }
-
-// GetBufDirty borrows an unzeroed float64 matrix from the shared pool;
-// the first consumer must overwrite every element.
-func GetBufDirty(rows, cols int) *Matrix { return sharedPool.GetDirty(rows, cols) }
-
-// PutBuf returns a GetBuf matrix to the shared pool.
-func PutBuf(m *Matrix) { sharedPool.Put(m) }
 
 // GetBufOf borrows a zeroed rows x cols matrix of element type T from
 // that precision's shared pool.
@@ -161,12 +144,6 @@ type WorkspaceOf[T Float] struct {
 	next, vnext int
 }
 
-// Workspace is the float64 instantiation of WorkspaceOf.
-type Workspace = WorkspaceOf[float64]
-
-// NewWorkspace returns a float64 Workspace backed by the shared pool.
-func NewWorkspace() *Workspace { return NewWorkspaceOf[float64]() }
-
 // NewWorkspaceOf returns a Workspace backed by T's shared pool.
 func NewWorkspaceOf[T Float]() *WorkspaceOf[T] {
 	return &WorkspaceOf[T]{pool: SharedPoolOf[T]()}
@@ -175,14 +152,11 @@ func NewWorkspaceOf[T Float]() *WorkspaceOf[T] {
 // NewWorkspaceOn returns a Workspace backed by a specific pool.
 func NewWorkspaceOn[T Float](p *PoolOf[T]) *WorkspaceOf[T] { return &WorkspaceOf[T]{pool: p} }
 
-// NewAllocWorkspace returns a float64 Workspace whose Get always
-// allocates a fresh matrix — the allocation behaviour of the pre-pool
-// code paths. It exists so equivalence tests can run one training loop
-// pooled and one allocating and assert bit-identical results; Release
-// and Reset drop all references for the GC.
-func NewAllocWorkspace() *Workspace { return &Workspace{} }
-
-// NewAllocWorkspaceOf is NewAllocWorkspace at any element type.
+// NewAllocWorkspaceOf returns a Workspace whose Get always allocates a
+// fresh matrix — the allocation behaviour of the pre-pool code paths. It
+// exists so equivalence tests can run one training loop pooled and one
+// allocating and assert bit-identical results; Release and Reset drop
+// all references for the GC.
 func NewAllocWorkspaceOf[T Float]() *WorkspaceOf[T] { return &WorkspaceOf[T]{} }
 
 // Get returns a zeroed rows x cols matrix valid until the next Reset or

@@ -17,7 +17,7 @@ func mustPanic(t *testing.T, name string, f func()) {
 }
 
 func TestPoolReusesZeroedBuffers(t *testing.T) {
-	p := NewPool()
+	p := NewPoolOf[float64]()
 	m := p.Get(3, 4)
 	m.Fill(7)
 	p.Put(m)
@@ -33,7 +33,7 @@ func TestPoolReusesZeroedBuffers(t *testing.T) {
 }
 
 func TestPoolGetDirtySkipsZeroing(t *testing.T) {
-	p := NewPool()
+	p := NewPoolOf[float64]()
 	m := p.Get(3, 4)
 	m.Fill(7)
 	p.Put(m)
@@ -54,7 +54,7 @@ func TestPoolGetDirtySkipsZeroing(t *testing.T) {
 }
 
 func TestPoolShapeKeying(t *testing.T) {
-	p := NewPool()
+	p := NewPoolOf[float64]()
 	m := p.Get(2, 6)
 	p.Put(m)
 	// Same element count, different shape: must not satisfy the request.
@@ -65,26 +65,26 @@ func TestPoolShapeKeying(t *testing.T) {
 }
 
 func TestPoolPutShapeMismatchPanics(t *testing.T) {
-	p := NewPool()
+	p := NewPoolOf[float64]()
 	bad := &Matrix{Rows: 2, Cols: 2, Data: make([]float64, 6)}
 	mustPanic(t, "shape-mismatch Put", func() { p.Put(bad) })
 }
 
 func TestPoolDoublePutPanics(t *testing.T) {
-	p := NewPool()
+	p := NewPoolOf[float64]()
 	m := p.Get(2, 2)
 	p.Put(m)
 	mustPanic(t, "double Put", func() { p.Put(m) })
 }
 
 func TestPoolNilAndEmptyPutNoOp(t *testing.T) {
-	p := NewPool()
+	p := NewPoolOf[float64]()
 	p.Put(nil)
 	p.Put(&Matrix{Rows: 0, Cols: 5})
 }
 
 func TestPoolNegativeGetPanics(t *testing.T) {
-	p := NewPool()
+	p := NewPoolOf[float64]()
 	mustPanic(t, "negative Get", func() { p.Get(-1, 3) })
 }
 
@@ -92,7 +92,7 @@ func TestPoolNegativeGetPanics(t *testing.T) {
 // race`): many goroutines churning Get/GetDirty/Put on one pool must not
 // race, and no buffer may be handed to two owners at once.
 func TestPoolConcurrentGetPut(t *testing.T) {
-	p := NewPool()
+	p := NewPoolOf[float64]()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -116,7 +116,7 @@ func TestPoolConcurrentGetPut(t *testing.T) {
 }
 
 func TestWorkspaceCursorReuse(t *testing.T) {
-	w := NewWorkspaceOn(NewPool())
+	w := NewWorkspaceOn(NewPoolOf[float64]())
 	defer w.Release()
 	a := w.Get(2, 3)
 	b := w.Get(4, 4)
@@ -136,7 +136,7 @@ func TestWorkspaceCursorReuse(t *testing.T) {
 }
 
 func TestWorkspaceGetDirtyKeepsStaleContents(t *testing.T) {
-	w := NewWorkspaceOn(NewPool())
+	w := NewWorkspaceOn(NewPoolOf[float64]())
 	defer w.Release()
 	a := w.GetDirty(2, 3)
 	a.Fill(9)
@@ -156,7 +156,7 @@ func TestWorkspaceGetDirtyKeepsStaleContents(t *testing.T) {
 }
 
 func TestWorkspaceReshapeWithinCapacity(t *testing.T) {
-	w := NewWorkspaceOn(NewPool())
+	w := NewWorkspaceOn(NewPoolOf[float64]())
 	defer w.Release()
 	big := w.Get(4, 4)
 	w.Reset()
@@ -175,7 +175,7 @@ func TestWorkspaceReshapeWithinCapacity(t *testing.T) {
 }
 
 func TestWorkspaceVecDirty(t *testing.T) {
-	w := NewWorkspaceOn(NewPool())
+	w := NewWorkspaceOn(NewPoolOf[float64]())
 	defer w.Release()
 	v := w.VecDirty(4)
 	for i := range v {
@@ -194,7 +194,7 @@ func TestWorkspaceVecDirty(t *testing.T) {
 }
 
 func TestWorkspaceReleaseReturnsToPool(t *testing.T) {
-	p := NewPool()
+	p := NewPoolOf[float64]()
 	w := NewWorkspaceOn(p)
 	m := w.Get(3, 3)
 	w.Release()
@@ -210,7 +210,7 @@ func TestWorkspaceReleaseReturnsToPool(t *testing.T) {
 }
 
 func TestAllocWorkspaceAlwaysFresh(t *testing.T) {
-	w := NewAllocWorkspace()
+	w := NewAllocWorkspaceOf[float64]()
 	a := w.Get(2, 2)
 	a.Fill(3)
 	w.Reset()
@@ -239,7 +239,7 @@ func TestWorkspaceSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under the race detector")
 	}
-	w := NewWorkspaceOn(NewPool())
+	w := NewWorkspaceOn(NewPoolOf[float64]())
 	defer w.Release()
 	iter := func() {
 		w.Reset()

@@ -12,13 +12,8 @@ import (
 // what keeps the two training trajectories comparable in the
 // equivalence suites.
 
-// RandUniform fills a new rows x cols float64 matrix with uniform values
-// in [-scale, scale) drawn from rng.
-func RandUniform(rng *rand.Rand, rows, cols int, scale float64) *Matrix {
-	return RandUniformOf[float64](rng, rows, cols, scale)
-}
-
-// RandUniformOf is RandUniform at any element type.
+// RandUniformOf fills a new rows x cols matrix with uniform values in
+// [-scale, scale) drawn from rng.
 func RandUniformOf[T Float](rng *rand.Rand, rows, cols int, scale float64) *Dense[T] {
 	m := NewOf[T](rows, cols)
 	for i := range m.Data {
@@ -27,27 +22,16 @@ func RandUniformOf[T Float](rng *rand.Rand, rows, cols int, scale float64) *Dens
 	return m
 }
 
-// GlorotUniform returns a rows x cols float64 matrix initialised with the
+// GlorotUniformOf returns a rows x cols matrix initialised with the
 // Glorot (Xavier) uniform scheme: U(-s, s) with s = sqrt(6/(fanIn+fanOut)).
 // This is the initialisation used by every dense layer in the NN,
 // autoencoder and GraphSAGE modules.
-func GlorotUniform(rng *rand.Rand, rows, cols int) *Matrix {
-	return GlorotUniformOf[float64](rng, rows, cols)
-}
-
-// GlorotUniformOf is GlorotUniform at any element type.
 func GlorotUniformOf[T Float](rng *rand.Rand, rows, cols int) *Dense[T] {
 	s := math.Sqrt(6.0 / float64(rows+cols))
 	return RandUniformOf[T](rng, rows, cols, s)
 }
 
-// RandNormal fills a new rows x cols float64 matrix with N(mean, std)
-// samples.
-func RandNormal(rng *rand.Rand, rows, cols int, mean, std float64) *Matrix {
-	return RandNormalOf[float64](rng, rows, cols, mean, std)
-}
-
-// RandNormalOf is RandNormal at any element type.
+// RandNormalOf fills a new rows x cols matrix with N(mean, std) samples.
 func RandNormalOf[T Float](rng *rand.Rand, rows, cols int, mean, std float64) *Dense[T] {
 	m := NewOf[T](rows, cols)
 	for i := range m.Data {
@@ -55,10 +39,6 @@ func RandNormalOf[T Float](rng *rand.Rand, rows, cols int, mean, std float64) *D
 	}
 	return m
 }
-
-// Perm returns a random permutation of [0, n) using rng. It is a thin
-// wrapper so callers do not need math/rand directly.
-func Perm(rng *rand.Rand, n int) []int { return rng.Perm(n) }
 
 // Shuffle permutes idx in place using rng.
 func Shuffle(rng *rand.Rand, idx []int) {

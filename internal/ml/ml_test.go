@@ -12,7 +12,7 @@ import (
 // blobs generates a k-class Gaussian-blob dataset that a working
 // classifier must separate easily.
 func blobs(rng *rand.Rand, n, d, k int, spread float64) (*mat.Matrix, []int) {
-	X := mat.New(n, d)
+	X := mat.NewOf[float64](n, d)
 	y := make([]int, n)
 	for i := 0; i < n; i++ {
 		c := i % k
@@ -62,10 +62,10 @@ func TestNNProbabilitiesSumToOne(t *testing.T) {
 
 func TestNNFitErrors(t *testing.T) {
 	nn := NewNN(DefaultNNConfig())
-	if err := nn.Fit(mat.New(0, 3), nil); err == nil {
+	if err := nn.Fit(mat.NewOf[float64](0, 3), nil); err == nil {
 		t.Fatal("expected error on empty training set")
 	}
-	if err := nn.Fit(mat.New(2, 3), []int{0}); err == nil {
+	if err := nn.Fit(mat.NewOf[float64](2, 3), []int{0}); err == nil {
 		t.Fatal("expected error on rows/labels mismatch")
 	}
 }
@@ -102,7 +102,7 @@ func TestConfusionMatrix(t *testing.T) {
 
 func TestScalerZeroMeanUnitVar(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	X := mat.RandNormal(rng, 200, 4, 7, 3)
+	X := mat.RandNormalOf[float64](rng, 200, 4, 7, 3)
 	s := FitScaler(X)
 	Z := s.Transform(X)
 	for j := 0; j < 4; j++ {
@@ -243,9 +243,9 @@ func TestMode(t *testing.T) {
 
 func TestAdamReducesLoss(t *testing.T) {
 	// Minimise ||w - target||^2 directly through the optimiser.
-	p := &Param{W: mat.New(1, 4), G: mat.New(1, 4)}
+	p := &ParamOf[float64]{W: mat.NewOf[float64](1, 4), G: mat.NewOf[float64](1, 4)}
 	target := []float64{1, -2, 3, 0.5}
-	opt := NewAdam(0.1, []*Param{p})
+	opt := NewAdamOf(0.1, []*ParamOf[float64]{p})
 	loss := func() float64 {
 		s := 0.0
 		for j, tv := range target {

@@ -13,7 +13,7 @@ import (
 type layer interface {
 	forward(x *mat.Matrix, train bool) *mat.Matrix
 	backward(grad *mat.Matrix) *mat.Matrix
-	params() []*Param
+	params() []*ParamOf[float64]
 }
 
 // ParamOf couples a trainable tensor with its gradient accumulator, at
@@ -23,20 +23,17 @@ type ParamOf[T mat.Float] struct {
 	G *mat.Dense[T]
 }
 
-// Param is the float64 instantiation of ParamOf.
-type Param = ParamOf[float64]
-
 // --- Dense -------------------------------------------------------------------
 
 type dense struct {
-	w, b    *Param
+	w, b    *ParamOf[float64]
 	inCache *mat.Matrix
 }
 
 func newDense(rng *rand.Rand, in, out int) *dense {
 	return &dense{
-		w: &Param{W: mat.GlorotUniform(rng, in, out), G: mat.New(in, out)},
-		b: &Param{W: mat.New(1, out), G: mat.New(1, out)},
+		w: &ParamOf[float64]{W: mat.GlorotUniformOf[float64](rng, in, out), G: mat.NewOf[float64](in, out)},
+		b: &ParamOf[float64]{W: mat.NewOf[float64](1, out), G: mat.NewOf[float64](1, out)},
 	}
 }
 
@@ -59,7 +56,7 @@ func (d *dense) backward(grad *mat.Matrix) *mat.Matrix {
 	return mat.MatMulTransB(grad, d.w.W)
 }
 
-func (d *dense) params() []*Param { return []*Param{d.w, d.b} }
+func (d *dense) params() []*ParamOf[float64] { return []*ParamOf[float64]{d.w, d.b} }
 
 // --- ReLU --------------------------------------------------------------------
 
@@ -70,7 +67,7 @@ type relu struct {
 func (r *relu) forward(x *mat.Matrix, train bool) *mat.Matrix {
 	out := x.Clone()
 	if train {
-		r.mask = mat.New(x.Rows, x.Cols)
+		r.mask = mat.NewOf[float64](x.Rows, x.Cols)
 	}
 	for i, v := range out.Data {
 		if v <= 0 {
@@ -86,12 +83,12 @@ func (r *relu) backward(grad *mat.Matrix) *mat.Matrix {
 	return mat.Hadamard(grad, r.mask)
 }
 
-func (r *relu) params() []*Param { return nil }
+func (r *relu) params() []*ParamOf[float64] { return nil }
 
 // --- BatchNorm ----------------------------------------------------------------
 
 type batchNorm struct {
-	gamma, beta     *Param
+	gamma, beta     *ParamOf[float64]
 	runMean, runVar []float64
 	momentum, eps   float64
 	xhat            *mat.Matrix
@@ -100,8 +97,8 @@ type batchNorm struct {
 
 func newBatchNorm(dim int) *batchNorm {
 	bn := &batchNorm{
-		gamma:    &Param{W: mat.New(1, dim), G: mat.New(1, dim)},
-		beta:     &Param{W: mat.New(1, dim), G: mat.New(1, dim)},
+		gamma:    &ParamOf[float64]{W: mat.NewOf[float64](1, dim), G: mat.NewOf[float64](1, dim)},
+		beta:     &ParamOf[float64]{W: mat.NewOf[float64](1, dim), G: mat.NewOf[float64](1, dim)},
 		runMean:  make([]float64, dim),
 		runVar:   make([]float64, dim),
 		momentum: 0.9,
@@ -116,7 +113,7 @@ func newBatchNorm(dim int) *batchNorm {
 
 func (bn *batchNorm) forward(x *mat.Matrix, train bool) *mat.Matrix {
 	dim := x.Cols
-	out := mat.New(x.Rows, dim)
+	out := mat.NewOf[float64](x.Rows, dim)
 	gamma, beta := bn.gamma.W.Row(0), bn.beta.W.Row(0)
 	if !train || x.Rows < 2 {
 		for i := 0; i < x.Rows; i++ {
@@ -145,7 +142,7 @@ func (bn *batchNorm) forward(x *mat.Matrix, train bool) *mat.Matrix {
 		bn.runMean[j] = bn.momentum*bn.runMean[j] + (1-bn.momentum)*mean[j]
 		bn.runVar[j] = bn.momentum*bn.runVar[j] + (1-bn.momentum)*variance[j]
 	}
-	bn.xhat = mat.New(x.Rows, dim)
+	bn.xhat = mat.NewOf[float64](x.Rows, dim)
 	for i := 0; i < x.Rows; i++ {
 		src, dst, xh := x.Row(i), out.Row(i), bn.xhat.Row(i)
 		for j := 0; j < dim; j++ {
@@ -175,7 +172,7 @@ func (bn *batchNorm) backward(grad *mat.Matrix) *mat.Matrix {
 		gG[j] += sumDyXhat[j]
 		bG[j] += sumDy[j]
 	}
-	out := mat.New(grad.Rows, dim)
+	out := mat.NewOf[float64](grad.Rows, dim)
 	for i := 0; i < grad.Rows; i++ {
 		g, xh, dst := grad.Row(i), bn.xhat.Row(i), out.Row(i)
 		for j := 0; j < dim; j++ {
@@ -186,7 +183,7 @@ func (bn *batchNorm) backward(grad *mat.Matrix) *mat.Matrix {
 	return out
 }
 
-func (bn *batchNorm) params() []*Param { return []*Param{bn.gamma, bn.beta} }
+func (bn *batchNorm) params() []*ParamOf[float64] { return []*ParamOf[float64]{bn.gamma, bn.beta} }
 
 // --- Dropout -----------------------------------------------------------------
 
@@ -201,8 +198,8 @@ func (d *dropout) forward(x *mat.Matrix, train bool) *mat.Matrix {
 		return x
 	}
 	keep := 1 - d.rate
-	d.mask = mat.New(x.Rows, x.Cols)
-	out := mat.New(x.Rows, x.Cols)
+	d.mask = mat.NewOf[float64](x.Rows, x.Cols)
+	out := mat.NewOf[float64](x.Rows, x.Cols)
 	scale := 1 / keep
 	for i, v := range x.Data {
 		if d.rng.Float64() < keep {
@@ -220,7 +217,7 @@ func (d *dropout) backward(grad *mat.Matrix) *mat.Matrix {
 	return mat.Hadamard(grad, d.mask)
 }
 
-func (d *dropout) params() []*Param { return nil }
+func (d *dropout) params() []*ParamOf[float64] { return nil }
 
 // --- Adam --------------------------------------------------------------------
 
@@ -235,12 +232,6 @@ type AdamOf[T mat.Float] struct {
 	m, v                  []*mat.Dense[T]
 	params                []*ParamOf[T]
 }
-
-// Adam is the float64 instantiation of AdamOf.
-type Adam = AdamOf[float64]
-
-// NewAdam prepares float64 optimiser state for params.
-func NewAdam(lr float64, params []*Param) *Adam { return NewAdamOf(lr, params) }
 
 // NewAdamOf prepares optimiser state for params at any element type.
 func NewAdamOf[T mat.Float](lr float64, params []*ParamOf[T]) *AdamOf[T] {
@@ -369,11 +360,11 @@ func (n *NN) Fit(X *mat.Matrix, y []int) error {
 	n.rng = rand.New(rand.NewSource(n.Config.Seed))
 	n.buildLayers(X.Cols)
 
-	var params []*Param
+	var params []*ParamOf[float64]
 	for _, l := range n.layers {
 		params = append(params, l.params()...)
 	}
-	opt := NewAdam(n.Config.LR, params)
+	opt := NewAdamOf(n.Config.LR, params)
 
 	idx := make([]int, X.Rows)
 	for i := range idx {

@@ -13,12 +13,12 @@ func TestBatchNormTrainVsInference(t *testing.T) {
 	bn := newBatchNorm(4)
 	// Feed many training batches so running stats converge.
 	for i := 0; i < 300; i++ {
-		x := mat.RandNormal(rng, 32, 4, 5, 2)
+		x := mat.RandNormalOf[float64](rng, 32, 4, 5, 2)
 		bn.forward(x, true)
 	}
 	// At inference a batch drawn from the same distribution should come
 	// out roughly standardised (gamma=1, beta=0 initially).
-	x := mat.RandNormal(rng, 512, 4, 5, 2)
+	x := mat.RandNormalOf[float64](rng, 512, 4, 5, 2)
 	out := bn.forward(x, false)
 	for j := 0; j < 4; j++ {
 		col := make([]float64, out.Rows)
@@ -38,7 +38,7 @@ func TestBatchNormGradientCheck(t *testing.T) {
 	// Numerical gradient check of the batch-norm backward pass.
 	rng := rand.New(rand.NewSource(12))
 	bn := newBatchNorm(3)
-	x := mat.RandNormal(rng, 8, 3, 1, 2)
+	x := mat.RandNormalOf[float64](rng, 8, 3, 1, 2)
 
 	loss := func(in *mat.Matrix) float64 {
 		out := bn.forward(in, true)
@@ -73,7 +73,7 @@ func TestBatchNormGradientCheck(t *testing.T) {
 func TestDropoutInferenceIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	d := &dropout{rate: 0.5, rng: rng}
-	x := mat.RandNormal(rng, 4, 6, 0, 1)
+	x := mat.RandNormalOf[float64](rng, 4, 6, 0, 1)
 	out := d.forward(x, false)
 	for i := range x.Data {
 		if out.Data[i] != x.Data[i] {
@@ -85,7 +85,7 @@ func TestDropoutInferenceIsIdentity(t *testing.T) {
 func TestDropoutTrainKeepsExpectation(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	d := &dropout{rate: 0.5, rng: rng}
-	x := mat.New(1, 10000)
+	x := mat.NewOf[float64](1, 10000)
 	x.Fill(1)
 	out := d.forward(x, true)
 	// Inverted dropout rescales so E[out] == E[in].
@@ -97,7 +97,7 @@ func TestDropoutTrainKeepsExpectation(t *testing.T) {
 func TestDenseGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	layer := newDense(rng, 5, 3)
-	x := mat.RandNormal(rng, 4, 5, 0, 1)
+	x := mat.RandNormalOf[float64](rng, 4, 5, 0, 1)
 
 	forwardLoss := func() float64 {
 		out := layer.forward(x, true)

@@ -17,9 +17,6 @@ type AdamStateOf[T mat.Float] struct {
 	M, V                  []*mat.Dense[T]
 }
 
-// AdamState is the float64 instantiation of AdamStateOf.
-type AdamState = AdamStateOf[float64]
-
 // State deep-copies the optimiser state for checkpointing (safe to hand
 // to an asynchronous writer while training continues).
 func (a *AdamOf[T]) State() AdamStateOf[T] {

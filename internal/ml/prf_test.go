@@ -65,7 +65,7 @@ func TestTopKAccuracy(t *testing.T) {
 	if got := TopKAccuracy(probs, truth, 99); got != 1 {
 		t.Fatalf("top-all %v", got)
 	}
-	if got := TopKAccuracy(mat.New(0, 3), nil, 1); got != 0 {
+	if got := TopKAccuracy(mat.NewOf[float64](0, 3), nil, 1); got != 0 {
 		t.Fatal("empty input")
 	}
 }

@@ -78,14 +78,14 @@ func TestRestoreRNGContinuesStream(t *testing.T) {
 // then restore into a fresh optimiser and replay the remaining gradients;
 // the weights must match bit for bit.
 func TestAdamStateResumeEquivalence(t *testing.T) {
-	newParams := func() []*Param {
+	newParams := func() []*ParamOf[float64] {
 		rng := rand.New(rand.NewSource(3))
-		return []*Param{
-			{W: mat.RandNormal(rng, 4, 5, 0, 1), G: mat.New(4, 5)},
-			{W: mat.RandNormal(rng, 1, 5, 0, 1), G: mat.New(1, 5)},
+		return []*ParamOf[float64]{
+			{W: mat.RandNormalOf[float64](rng, 4, 5, 0, 1), G: mat.NewOf[float64](4, 5)},
+			{W: mat.RandNormalOf[float64](rng, 1, 5, 0, 1), G: mat.NewOf[float64](1, 5)},
 		}
 	}
-	grads := func(step int, params []*Param) {
+	grads := func(step int, params []*ParamOf[float64]) {
 		rng := rand.New(rand.NewSource(int64(1000 + step)))
 		for _, p := range params {
 			for i := range p.G.Data {
@@ -96,8 +96,8 @@ func TestAdamStateResumeEquivalence(t *testing.T) {
 
 	// Uninterrupted run: 20 steps.
 	pa := newParams()
-	oa := NewAdam(1e-2, pa)
-	var snap AdamState
+	oa := NewAdamOf(1e-2, pa)
+	var snap AdamStateOf[float64]
 	var wSnap []*mat.Matrix
 	for s := 0; s < 20; s++ {
 		if s == 11 {
@@ -113,7 +113,7 @@ func TestAdamStateResumeEquivalence(t *testing.T) {
 	if err := RestoreParams(pb, wSnap); err != nil {
 		t.Fatal(err)
 	}
-	ob := NewAdam(1e-2, pb)
+	ob := NewAdamOf(1e-2, pb)
 	if err := ob.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -131,21 +131,21 @@ func TestAdamStateResumeEquivalence(t *testing.T) {
 }
 
 func TestAdamRestoreShapeMismatch(t *testing.T) {
-	p := []*Param{{W: mat.New(2, 2), G: mat.New(2, 2)}}
-	a := NewAdam(1e-3, p)
+	p := []*ParamOf[float64]{{W: mat.NewOf[float64](2, 2), G: mat.NewOf[float64](2, 2)}}
+	a := NewAdamOf(1e-3, p)
 	st := a.State()
-	st.M[0] = mat.New(3, 3)
+	st.M[0] = mat.NewOf[float64](3, 3)
 	if err := a.Restore(st); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
-	b := NewAdam(1e-3, []*Param{{W: mat.New(2, 2), G: mat.New(2, 2)}, {W: mat.New(1, 1), G: mat.New(1, 1)}})
+	b := NewAdamOf(1e-3, []*ParamOf[float64]{{W: mat.NewOf[float64](2, 2), G: mat.NewOf[float64](2, 2)}, {W: mat.NewOf[float64](1, 1), G: mat.NewOf[float64](1, 1)}})
 	if err := b.Restore(a.State()); err == nil {
 		t.Fatal("param count mismatch accepted")
 	}
 }
 
 func TestClipGrads(t *testing.T) {
-	p := []*Param{{W: mat.New(1, 2), G: mat.New(1, 2)}}
+	p := []*ParamOf[float64]{{W: mat.NewOf[float64](1, 2), G: mat.NewOf[float64](1, 2)}}
 	p[0].G.Data[0], p[0].G.Data[1] = 3, 4 // norm 5
 	if norm := ClipGrads(p, 10); norm != 5 || p[0].G.Data[0] != 3 {
 		t.Fatalf("under-threshold clip changed grads: norm %v data %v", norm, p[0].G.Data)
@@ -176,7 +176,7 @@ func TestDivergenceDetection(t *testing.T) {
 	if err := CheckLoss(0, 0.5); err != nil {
 		t.Fatalf("finite loss rejected: %v", err)
 	}
-	p := []*Param{{W: mat.New(1, 2), G: mat.New(1, 2)}}
+	p := []*ParamOf[float64]{{W: mat.NewOf[float64](1, 2), G: mat.NewOf[float64](1, 2)}}
 	p[0].G.Data[1] = math.Inf(-1)
 	if err := CheckGrads(7, p); err == nil {
 		t.Fatal("Inf gradient accepted")
@@ -191,7 +191,7 @@ func TestDivergenceDetection(t *testing.T) {
 // DivergenceError, not as silent NaN weights.
 func TestNNFitDivergenceTyped(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	X := mat.RandNormal(rng, 64, 8, 0, 100)
+	X := mat.RandNormalOf[float64](rng, 64, 8, 0, 100)
 	y := make([]int, 64)
 	for i := range y {
 		y[i] = i % 2

@@ -162,7 +162,7 @@ func TestBatcherEnqueueCanceledOnFullQueue(t *testing.T) {
 	})
 	defer func() { close(gate); b.close() }()
 	b.enqueue(testPending("held"))
-	<-started                      // worker is now stuck inside flush
+	<-started                        // worker is now stuck inside flush
 	b.enqueue(testPending("queued")) // fills the 1-slot queue
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -43,7 +43,7 @@ func fixture(t testing.TB) *fixtureData {
 		}
 		in := gnn.BuildInput(ectx.TKG.G, ectx.TKG.Features, enc, ectx.Classes)
 		cfg := gnn.Config{Layers: 2, Hidden: 16, Encoding: aeCfg.Encoding, LR: 1e-2, Epochs: 6, Seed: 1}
-		model, err := gnn.Train(in, ectx.TKG.EventNodes(), cfg)
+		model, err := gnn.TrainCtx(in, ectx.TKG.EventNodes(), cfg, gnn.TrainOpts{})
 		if err != nil {
 			fix.err = err
 			return

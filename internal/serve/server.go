@@ -491,20 +491,20 @@ func rankPredictions(names []string, probs []float64, k int) []prediction {
 }
 
 type statsResponse struct {
-	Epoch          uint64    `json:"epoch"`
-	Precision      string    `json:"precision"`
-	LoadedAt       time.Time `json:"loaded_at"`
-	SnapshotAgeSec float64   `json:"snapshot_age_seconds"`
-	UptimeSeconds  float64   `json:"uptime_seconds"`
-	Nodes         int       `json:"nodes"`
-	Edges         int       `json:"edges"`
-	Events        int       `json:"events"`
-	LabeledEvents int       `json:"labeled_events"`
-	Classes       int       `json:"classes"`
-	Requests      uint64    `json:"requests_total"`
-	Batches       uint64    `json:"batches_total"`
-	Reloads       uint64    `json:"reloads_total"`
-	Extra         map[string]any `json:"extra,omitempty"`
+	Epoch          uint64         `json:"epoch"`
+	Precision      string         `json:"precision"`
+	LoadedAt       time.Time      `json:"loaded_at"`
+	SnapshotAgeSec float64        `json:"snapshot_age_seconds"`
+	UptimeSeconds  float64        `json:"uptime_seconds"`
+	Nodes          int            `json:"nodes"`
+	Edges          int            `json:"edges"`
+	Events         int            `json:"events"`
+	LabeledEvents  int            `json:"labeled_events"`
+	Classes        int            `json:"classes"`
+	Requests       uint64         `json:"requests_total"`
+	Batches        uint64         `json:"batches_total"`
+	Reloads        uint64         `json:"reloads_total"`
+	Extra          map[string]any `json:"extra,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -523,15 +523,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LoadedAt:       snap.LoadedAt,
 		SnapshotAgeSec: time.Since(snap.LoadedAt).Seconds(),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
-		Nodes:         snap.NumNodes,
-		Edges:         snap.NumEdges,
-		Events:        snap.NumEvents,
-		LabeledEvents: snap.NumLabeled,
-		Classes:       snap.Classes(),
-		Requests:      s.met.attrRequests.Value(),
-		Batches:       s.met.batches.Value(),
-		Reloads:       s.met.reloads.Value(),
-		Extra:         extra,
+		Nodes:          snap.NumNodes,
+		Edges:          snap.NumEdges,
+		Events:         snap.NumEvents,
+		LabeledEvents:  snap.NumLabeled,
+		Classes:        snap.Classes(),
+		Requests:       s.met.attrRequests.Value(),
+		Batches:        s.met.batches.Value(),
+		Reloads:        s.met.reloads.Value(),
+		Extra:          extra,
 	})
 }
 

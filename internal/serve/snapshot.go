@@ -40,9 +40,9 @@ import (
 
 // Artefact filenames inside a training directory (`trail train -dir`).
 const (
-	TKGFile      = "tkg.ck"      // TKG snapshot (graph + features), ckpt envelope
-	EncodersFile = "encoders.ck" // per-IOC-kind autoencoder set
-	ModelFile    = "model.ck"    // float64 GraphSAGE model
+	TKGFile      = "tkg.ck"       // TKG snapshot (graph + features), ckpt envelope
+	EncodersFile = "encoders.ck"  // per-IOC-kind autoencoder set
+	ModelFile    = "model.ck"     // float64 GraphSAGE model
 	ModelF32File = "model.f32.ck" // float32 serving model (preferred when present)
 )
 

@@ -143,10 +143,10 @@ func (c *Config) fill() {
 // captured into each shard's checkpoint at build time, so a resumed run
 // reports identical totals to an uninterrupted one.
 type Report struct {
-	Shards  int
-	Built   int   // shards built by this run
-	Resumed int   // shards loaded from checkpoints
-	Retried int   // extra build attempts beyond the first, this run
+	Shards   int
+	Built    int   // shards built by this run
+	Resumed  int   // shards loaded from checkpoints
+	Retried  int   // extra build attempts beyond the first, this run
 	Poisoned []int // shard indexes that exhausted their attempts
 
 	// PoisonedPulses counts the events a poisoned shard should have

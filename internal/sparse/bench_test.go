@@ -21,7 +21,7 @@ func BenchmarkSpMMInto(b *testing.B) {
 	s := benchOperator(b, 5000, 20000)
 	rng := rand.New(rand.NewSource(10))
 	x := randFeatures(rng, 5000, 64)
-	dst := mat.New(5000, 64)
+	dst := mat.NewOf[float64](5000, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.SpMMInto(dst, x)
@@ -33,7 +33,7 @@ func BenchmarkSpMMTransInto(b *testing.B) {
 	s := benchOperator(b, 5000, 20000)
 	rng := rand.New(rand.NewSource(11))
 	x := randFeatures(rng, 5000, 64)
-	dst := mat.New(5000, 64)
+	dst := mat.NewOf[float64](5000, 64)
 	s.SpMMTransInto(dst, x) // build the cached transpose outside the loop
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -49,7 +49,7 @@ func BenchmarkSAGELayerInto(b *testing.B) {
 	wMean := randFeatures(rng, 64, 64)
 	wSelf := randFeatures(rng, 64, 64)
 	bias := make([]float64, 64)
-	dst := mat.New(5000, 64)
+	dst := mat.NewOf[float64](5000, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.SAGELayerInto(dst, x, wMean, wSelf, bias)
@@ -117,7 +117,7 @@ func BenchmarkSpMMIntoHub(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	s := FromAdj(hubAdj(rng, 40000, 160000, 64)).MeanNormalized()
 	x := randFeatures(rng, 40000, 64)
-	dst := mat.New(40000, 64)
+	dst := mat.NewOf[float64](40000, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.SpMMInto(dst, x)
@@ -133,8 +133,8 @@ func BenchmarkSpMMIntoHubReordered(b *testing.B) {
 		b.Fatal("reordering inactive on the hub graph")
 	}
 	s := rs.MeanNormalized()
-	x := GatherRowsInto(p, mat.New(40000, 64), randFeatures(rng, 40000, 64))
-	dst := mat.New(40000, 64)
+	x := GatherRowsInto(p, mat.NewOf[float64](40000, 64), randFeatures(rng, 40000, 64))
+	dst := mat.NewOf[float64](40000, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.SpMMInto(dst, x)

@@ -21,7 +21,7 @@ func TestLazyCachesConcurrentFirstUse(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(41))
 	adj := randAdj(rng, 200, 600)
-	x := mat.RandUniform(rng, 200, 6, 1)
+	x := mat.RandUniformOf[float64](rng, 200, 6, 1)
 
 	const goroutines = 16
 	s := FromAdj(adj)
@@ -43,7 +43,7 @@ func TestLazyCachesConcurrentFirstUse(t *testing.T) {
 			loops[g] = s.SymNormalizedWithSelfLoops()
 			means[g] = s.MeanNormalized()
 			reord[g], _ = s.Reordered()
-			// SpMMTrans builds the tOnce transpose on first use; doing a
+			// SpMMTransInto builds the tOnce transpose on first use; doing a
 			// real multiply also exercises the sargs pool concurrently.
 			trans[g] = s.MulTrans(x)
 		}(g)
@@ -57,7 +57,7 @@ func TestLazyCachesConcurrentFirstUse(t *testing.T) {
 		}
 		for i := range trans[0].Data {
 			if math.Float64bits(trans[g].Data[i]) != math.Float64bits(trans[0].Data[i]) {
-				t.Fatalf("concurrent SpMMTrans diverged at goroutine %d index %d", g, i)
+				t.Fatalf("concurrent SpMMTransInto diverged at goroutine %d index %d", g, i)
 			}
 		}
 	}
@@ -75,7 +75,7 @@ func TestLazyCachesConcurrentFloat32(t *testing.T) {
 		wg    sync.WaitGroup
 		start = make(chan struct{})
 		means [goroutines]*CSR[float32]
-		outs  [goroutines]*mat.Matrix32
+		outs  [goroutines]*mat.Dense[float32]
 	)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -94,7 +94,7 @@ func TestLazyCachesConcurrentFloat32(t *testing.T) {
 		}
 		for i := range outs[0].Data {
 			if outs[g].Data[i] != outs[0].Data[i] {
-				t.Fatalf("concurrent float32 SpMMTrans diverged at goroutine %d index %d", g, i)
+				t.Fatalf("concurrent float32 SpMMTransInto diverged at goroutine %d index %d", g, i)
 			}
 		}
 	}

@@ -25,7 +25,7 @@ import (
 // a zeroed accumulator; bias is added between them. That is the exact
 // grouping of the composed path
 //
-//	z := MatMul(SpMM(s,x), wMean); z.AddRowVector(bias); AddInPlace(z, MatMul(x, wSelf))
+//	z := MatMul(s.Mul(x), wMean); z.AddRowVector(bias); AddInPlace(z, MatMul(x, wSelf))
 //
 // so fused and composed results match bit for bit at any parallelism
 // (asserted in fused_test.go and internal/gnn's equivalence tests).

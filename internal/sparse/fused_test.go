@@ -10,7 +10,7 @@ import (
 )
 
 func randFeatures(rng *rand.Rand, rows, cols int) *mat.Matrix {
-	x := mat.New(rows, cols)
+	x := mat.NewOf[float64](rows, cols)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
@@ -42,7 +42,7 @@ func TestSAGELayerIntoMatchesComposedBitIdentical(t *testing.T) {
 	// contract), at any worker count.
 	for _, workers := range []int{1, 4} {
 		prev := par.SetWorkers(workers)
-		got := mat.New(n, dout)
+		got := mat.NewOf[float64](n, dout)
 		got.Fill(math.Inf(1))
 		s.SAGELayerInto(got, x, wMean, wSelf, bias)
 		par.SetWorkers(prev)
@@ -64,9 +64,9 @@ func TestSAGELayerIntoShapePanics(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"bad dst", func() { s.SAGELayerInto(mat.New(9, 3), x, w, w, bias) }},
-		{"bad bias", func() { s.SAGELayerInto(mat.New(10, 3), x, w, w, bias[:2]) }},
-		{"bad weights", func() { s.SAGELayerInto(mat.New(10, 3), x, randFeatures(rng, 5, 3), w, bias) }},
+		{"bad dst", func() { s.SAGELayerInto(mat.NewOf[float64](9, 3), x, w, w, bias) }},
+		{"bad bias", func() { s.SAGELayerInto(mat.NewOf[float64](10, 3), x, w, w, bias[:2]) }},
+		{"bad weights", func() { s.SAGELayerInto(mat.NewOf[float64](10, 3), x, randFeatures(rng, 5, 3), w, bias) }},
 		{"aliased dst", func() { s.SAGELayerInto(x, x, randFeatures(rng, 4, 4), randFeatures(rng, 4, 4), make([]float64, 4)) }},
 	}
 	for _, tc := range cases {
@@ -86,7 +86,7 @@ func TestSpMMIntoOverwritesDirtyDst(t *testing.T) {
 	s := FromAdj(randAdj(rng, 30, 80)).SymNormalized()
 	x := randFeatures(rng, 30, 6)
 	want := s.Mul(x)
-	got := mat.New(30, 6)
+	got := mat.NewOf[float64](30, 6)
 	got.Fill(math.NaN())
 	s.SpMMInto(got, x)
 	for i := range want.Data {
@@ -103,7 +103,7 @@ func TestSpMMIntoSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	s := FromAdj(randAdj(rng, 40, 100)).MeanNormalized()
 	x := randFeatures(rng, 40, 8)
-	dst := mat.New(40, 8)
+	dst := mat.NewOf[float64](40, 8)
 	s.SpMMInto(dst, x) // warm the transpose/operator caches
 	if allocs := testing.AllocsPerRun(50, func() { s.SpMMInto(dst, x) }); allocs != 0 {
 		t.Fatalf("SpMMInto allocates %v times per call", allocs)

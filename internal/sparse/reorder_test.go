@@ -34,7 +34,7 @@ func TestPermuteRowsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	adj := randAdj(rng, 150, 400)
 	base := FromAdj(adj)
-	x := mat.RandUniform(rng, 150, 7, 1)
+	x := mat.RandUniformOf[float64](rng, 150, 7, 1)
 	ops := map[string]*Matrix{
 		"plain": base,
 		"sym":   base.SymNormalized(),
@@ -47,7 +47,7 @@ func TestPermuteRowsBitIdentical(t *testing.T) {
 			t.Fatalf("%s: fixture accidentally degree-sorted", name)
 		}
 		ps := s.Permute(p)
-		xp := GatherRowsInto(p, mat.New(x.Rows, x.Cols), x)
+		xp := GatherRowsInto(p, mat.NewOf[float64](x.Rows, x.Cols), x)
 
 		want := s.Mul(x)
 		got := ps.Mul(xp)
@@ -63,7 +63,7 @@ func TestPermuteRowsBitIdentical(t *testing.T) {
 		}
 		// Scatter back and require bitwise equality with the original-order
 		// product.
-		back := ScatterRowsInto(p, mat.New(x.Rows, x.Cols), got)
+		back := ScatterRowsInto(p, mat.NewOf[float64](x.Rows, x.Cols), got)
 		for i := range want.Data {
 			if math.Float64bits(back.Data[i]) != math.Float64bits(want.Data[i]) {
 				t.Fatalf("%s: scatter-back diverges at flat index %d", name, i)
@@ -82,7 +82,7 @@ func TestPermuteNormalizeCommute(t *testing.T) {
 
 	a := base.Permute(p).MeanNormalized()
 	b := base.MeanNormalized().Permute(p)
-	x := mat.RandUniform(rng, 90, 5, 1)
+	x := mat.RandUniformOf[float64](rng, 90, 5, 1)
 	ya, yb := a.Mul(x), b.Mul(x)
 	for i := range ya.Data {
 		if math.Float64bits(ya.Data[i]) != math.Float64bits(yb.Data[i]) {

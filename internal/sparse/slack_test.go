@@ -27,7 +27,7 @@ func slackedFixture(t *testing.T, rng *rand.Rand, n int) (*Matrix, *Matrix) {
 		}
 		rowPtr[i+1] = len(colIdx)
 	}
-	packed := New(n, n, rowPtr, colIdx, nil)
+	packed := NewOf[float64](n, n, rowPtr, colIdx, nil)
 
 	start := make([]int, n+1)
 	end := make([]int, n)
@@ -75,11 +75,11 @@ func TestSlackedKernelsMatchPacked(t *testing.T) {
 			t.Fatalf("trial %d: nnz %d vs %d", trial, p.NNZ(), s.NNZ())
 		}
 
-		x := mat.New(n, 3)
+		x := mat.NewOf[float64](n, 3)
 		for i := range x.Data {
 			x.Data[i] = rng.NormFloat64()
 		}
-		dp, ds := mat.New(n, 3), mat.New(n, 3)
+		dp, ds := mat.NewOf[float64](n, 3), mat.NewOf[float64](n, 3)
 		p.SpMMInto(dp, x)
 		s.SpMMInto(ds, x)
 		if !bitsEq(dp.Data, ds.Data) {
@@ -143,7 +143,7 @@ func TestSlackedKernelsMatchPacked(t *testing.T) {
 // the lazy accessor and refuses double population.
 func TestInstallersSeedCaches(t *testing.T) {
 	build := func() *Matrix {
-		return New(3, 3, []int{0, 2, 3, 4}, []int32{1, 2, 0, 0}, nil)
+		return NewOf[float64](3, 3, []int{0, 2, 3, 4}, []int32{1, 2, 0, 0}, nil)
 	}
 	a, b := build(), build()
 	sym, mean := b.SymNormalized(), b.MeanNormalized()
@@ -183,7 +183,7 @@ func TestCastCarriesReorderCache(t *testing.T) {
 		}
 		rowPtr[i+1] = len(colIdx)
 	}
-	m := New(n, n, rowPtr, colIdx, nil)
+	m := NewOf[float64](n, n, rowPtr, colIdx, nil)
 	rm, rp := m.Reordered()
 	if rp == nil {
 		t.Fatal("fixture should not be degree-sorted already")
@@ -194,7 +194,7 @@ func TestCastCarriesReorderCache(t *testing.T) {
 	if crp != rp {
 		t.Fatal("cast did not share the structure-only permutation")
 	}
-	fresh := Cast[float32](New(n, n, rowPtr, colIdx, nil))
+	fresh := Cast[float32](NewOf[float64](n, n, rowPtr, colIdx, nil))
 	frm, frp := fresh.Reordered()
 	if frp == nil || len(frp.Perm) != len(crp.Perm) {
 		t.Fatal("fresh reorder missing")

@@ -85,7 +85,7 @@ type CSR[T mat.Float] struct {
 	valOnes bool
 
 	tOnce sync.Once
-	t     *CSR[T] // cached transpose, built on first SpMMTrans/MulTrans
+	t     *CSR[T] // cached transpose, built on first SpMMTransInto/MulTrans
 
 	// Normalisation caches: matrices are immutable once constructed and
 	// the normalised variants are pure functions of the receiver, so the
@@ -112,14 +112,9 @@ type CSR[T mat.Float] struct {
 // Matrix is the float64 reference instantiation of CSR.
 type Matrix = CSR[float64]
 
-// New wraps raw float64 CSR arrays without copying; the caller must not
-// mutate them afterwards. A nil val means all entries are 1 (an
-// unweighted adjacency) and is materialised as ones.
-func New(rows, cols int, rowPtr []int, colIdx []int32, val []float64) *Matrix {
-	return NewOf[float64](rows, cols, rowPtr, colIdx, val)
-}
-
-// NewOf is New at any element type.
+// NewOf wraps raw CSR arrays without copying; the caller must not mutate
+// them afterwards. A nil val means all entries are 1 (an unweighted
+// adjacency) and is materialised as ones.
 func NewOf[T mat.Float](rows, cols int, rowPtr []int, colIdx []int32, val []T) *CSR[T] {
 	if len(rowPtr) != rows+1 {
 		panic(fmt.Sprintf("sparse: RowPtr length %d != rows+1 (%d)", len(rowPtr), rows+1))
@@ -154,7 +149,7 @@ func FromAdj[T ~int32](adj [][]T) *Matrix {
 			k++
 		}
 	}
-	return New(n, n, rowPtr, colIdx, nil)
+	return NewOf[float64](n, n, rowPtr, colIdx, nil)
 }
 
 // NewSlackedOf wraps slack-slotted CSR arrays without copying: row i's
@@ -462,7 +457,7 @@ func (s *CSR[T]) mustSquarePlain(op string) {
 // Within each transposed row, entries appear in ascending source-row
 // order — the order a row-major scatter loop would have visited them, so
 // transpose-SpMM reproduces the hand-rolled backward scatters bit for
-// bit. The result is cached by SpMMTrans/MulTrans; calling Transpose
+// bit. The result is cached by SpMMTransInto/MulTrans; calling Transpose
 // directly always builds a fresh matrix.
 func (s *CSR[T]) Transpose() *CSR[T] {
 	nnz := s.NNZ()
@@ -515,10 +510,6 @@ const (
 	grainFlops  = 1 << 14
 )
 
-// SpMM computes dst = s·x, overwriting dst; it is SpMMInto under the
-// historical name.
-func (s *CSR[T]) SpMM(dst, x *mat.Dense[T]) { s.SpMMInto(dst, x) }
-
 // SpMMInto computes dst = s·x, overwriting dst. dst must be s.Rows ×
 // x.Cols with x s.Cols rows, and must not alias x. Each output row
 // accumulates its entries in CSR order, then applies RowScale, so
@@ -548,26 +539,23 @@ func (s *CSR[T]) SpMMInto(dst, x *mat.Dense[T]) {
 	j.put()
 }
 
-// SpMMTrans computes dst = sᵀ·x, overwriting dst, via a transpose CSR
-// that is built once per matrix and cached. dst must be s.Cols × x.Cols
-// with x s.Rows rows.
-func (s *CSR[T]) SpMMTrans(dst, x *mat.Dense[T]) {
+// SpMMTransInto computes dst = sᵀ·x, overwriting dst, via a transpose
+// CSR that is built once per matrix and cached. dst must be s.Cols ×
+// x.Cols with x s.Rows rows.
+func (s *CSR[T]) SpMMTransInto(dst, x *mat.Dense[T]) {
 	s.transposed().SpMMInto(dst, x)
 }
-
-// SpMMTransInto is SpMMTrans under the Into-kernel naming convention.
-func (s *CSR[T]) SpMMTransInto(dst, x *mat.Dense[T]) { s.SpMMTrans(dst, x) }
 
 // Mul returns s·x as a fresh matrix.
 func (s *CSR[T]) Mul(x *mat.Dense[T]) *mat.Dense[T] {
 	dst := mat.NewOf[T](s.Rows, x.Cols)
-	s.SpMM(dst, x)
+	s.SpMMInto(dst, x)
 	return dst
 }
 
 // MulTrans returns sᵀ·x as a fresh matrix.
 func (s *CSR[T]) MulTrans(x *mat.Dense[T]) *mat.Dense[T] {
 	dst := mat.NewOf[T](s.Cols, x.Cols)
-	s.SpMMTrans(dst, x)
+	s.SpMMTransInto(dst, x)
 	return dst
 }

@@ -29,7 +29,7 @@ func randAdj(rng *rand.Rand, n, edges int) [][]int32 {
 
 // dense expands s into a dense matrix for reference arithmetic.
 func dense(s *Matrix) *mat.Matrix {
-	d := mat.New(s.Rows, s.Cols)
+	d := mat.NewOf[float64](s.Rows, s.Cols)
 	for i := 0; i < s.Rows; i++ {
 		scale := 1.0
 		if s.RowScale != nil {
@@ -73,7 +73,7 @@ func TestSpMMMatchesDense(t *testing.T) {
 		(*Matrix).MeanNormalized,
 	} {
 		s := build(FromAdj(adj))
-		x := mat.RandNormal(rng, 30, 5, 0, 1)
+		x := mat.RandNormalOf[float64](rng, 30, 5, 0, 1)
 		got := s.Mul(x)
 		want := mat.MatMul(dense(s), x)
 		for i := range want.Data {
@@ -107,8 +107,8 @@ func TestSpMMTransIsAdjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	adj := randAdj(rng, 20, 50)
 	s := FromAdj(adj).MeanNormalized()
-	x := mat.RandNormal(rng, 20, 4, 0, 1)
-	y := mat.RandNormal(rng, 20, 4, 0, 1)
+	x := mat.RandNormalOf[float64](rng, 20, 4, 0, 1)
+	y := mat.RandNormalOf[float64](rng, 20, 4, 0, 1)
 	lhs := mat.Dot(s.Mul(x).Data, y.Data)
 	rhs := mat.Dot(x.Data, s.MulTrans(y).Data)
 	if math.Abs(lhs-rhs) > 1e-9 {
@@ -125,7 +125,7 @@ func TestSymNormalizedPreservesConstantOnRegular(t *testing.T) {
 		adj[i] = []int32{int32((i + 1) % n), int32((i + n - 1) % n)}
 	}
 	s := FromAdj(adj).SymNormalized()
-	x := mat.New(n, 1)
+	x := mat.NewOf[float64](n, 1)
 	x.Fill(1)
 	out := s.Mul(x)
 	for i := 0; i < n; i++ {
@@ -163,7 +163,7 @@ func TestWithValuesSharesStructure(t *testing.T) {
 	if &w.ColIdx[0] != &s.ColIdx[0] {
 		t.Fatal("WithValues must share ColIdx")
 	}
-	x := mat.New(3, 1)
+	x := mat.NewOf[float64](3, 1)
 	x.Fill(1)
 	out := w.Mul(x)
 	want := []float64{(2 + 3) * 1, 4 * 0.5, 5 * 0.25}
@@ -182,7 +182,7 @@ func TestSpMMSerialParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	adj := randAdj(rng, 800, 6000)
 	s := FromAdj(adj).SymNormalized()
-	x := mat.RandNormal(rng, 800, 32, 0, 1)
+	x := mat.RandNormalOf[float64](rng, 800, 32, 0, 1)
 
 	prev := par.SetWorkers(1)
 	serial := s.Mul(x)

@@ -110,7 +110,7 @@ func (f *Forest) PredictProba(X *mat.Matrix) *mat.Matrix {
 	if len(f.trees) == 0 {
 		panic("tree: Forest.PredictProba before Fit")
 	}
-	out := mat.New(X.Rows, f.classes)
+	out := mat.NewOf[float64](X.Rows, f.classes)
 	for _, t := range f.trees {
 		for i := 0; i < X.Rows; i++ {
 			mat.Axpy(1, t.probaRow(X.Row(i)), out.Row(i))

@@ -91,8 +91,8 @@ func (g *GBT) Fit(X *mat.Matrix, y []int) error {
 	n := X.Rows
 
 	// Raw scores per sample per class; start at 0 (uniform softmax).
-	scores := mat.New(n, g.classes)
-	probs := mat.New(n, g.classes)
+	scores := mat.NewOf[float64](n, g.classes)
+	probs := mat.NewOf[float64](n, g.classes)
 	grad := make([]float64, n)
 	hess := make([]float64, n)
 
@@ -142,7 +142,7 @@ func (g *GBT) PredictProba(X *mat.Matrix) *mat.Matrix {
 	if g.trees == nil {
 		panic("tree: GBT.PredictProba before Fit")
 	}
-	out := mat.New(X.Rows, g.classes)
+	out := mat.NewOf[float64](X.Rows, g.classes)
 	lr := g.Config.LearningRate
 	for i := 0; i < X.Rows; i++ {
 		row := X.Row(i)

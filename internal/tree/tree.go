@@ -221,7 +221,7 @@ func sampleFeatures(rng *rand.Rand, d, m int) []int {
 
 // PredictProba returns per-row class probabilities.
 func (t *DecisionTree) PredictProba(X *mat.Matrix) *mat.Matrix {
-	out := mat.New(X.Rows, t.classes)
+	out := mat.NewOf[float64](X.Rows, t.classes)
 	for i := 0; i < X.Rows; i++ {
 		copy(out.Row(i), t.probaRow(X.Row(i)))
 	}

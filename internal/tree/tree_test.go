@@ -10,7 +10,7 @@ import (
 )
 
 func blobs(rng *rand.Rand, n, d, k int, spread float64) (*mat.Matrix, []int) {
-	X := mat.New(n, d)
+	X := mat.NewOf[float64](n, d)
 	y := make([]int, n)
 	for i := 0; i < n; i++ {
 		c := i % k
@@ -136,10 +136,10 @@ func TestGBTProbabilitiesValid(t *testing.T) {
 }
 
 func TestFitErrorCases(t *testing.T) {
-	if err := NewForest(DefaultForestConfig()).Fit(mat.New(0, 2), nil); err == nil {
+	if err := NewForest(DefaultForestConfig()).Fit(mat.NewOf[float64](0, 2), nil); err == nil {
 		t.Fatal("forest: expected error on empty data")
 	}
-	if err := NewGBT(DefaultGBTConfig()).Fit(mat.New(2, 2), []int{0}); err == nil {
+	if err := NewGBT(DefaultGBTConfig()).Fit(mat.NewOf[float64](2, 2), []int{0}); err == nil {
 		t.Fatal("gbt: expected error on mismatched labels")
 	}
 }
