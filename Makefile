@@ -6,7 +6,7 @@ GO ?= go
 # BENCH_<n>.json when invoked without -baseline.
 BENCH_BASELINE ?= BENCH_10.json
 
-.PHONY: all build test race bench bench-kernels bench-json bench-check bench-harness vet loc chaos resume smoke serve-smoke ingest-smoke shard-smoke
+.PHONY: all build test race bench bench-kernels bench-json bench-check bench-harness vet loc chaos resume smoke serve-smoke ingest-smoke shard-smoke experiments-check
 
 all: build test
 
@@ -95,6 +95,14 @@ ingest-smoke:
 # DESIGN.md §3i.
 shard-smoke:
 	bash scripts/shard_smoke.sh
+
+# experiments-check is the byte-identity gate for refactors: `trail
+# experiments -fast -months 14 -events 12` must print exactly
+# cmd/trail/testdata/experiments_fast.golden (amd64 only; other
+# architectures print a skip). `bash scripts/experiments_check.sh -update`
+# re-records the golden after an intended change of answers.
+experiments-check:
+	bash scripts/experiments_check.sh
 
 # vet also fails on any file gofmt would rewrite, and lists those files.
 vet:

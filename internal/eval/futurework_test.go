@@ -3,6 +3,8 @@ package eval
 import (
 	"strings"
 	"testing"
+
+	"trail/internal/hyperopt"
 )
 
 func TestUnknownAPTStudy(t *testing.T) {
@@ -88,6 +90,29 @@ func TestRunTuningRF(t *testing.T) {
 	// construction; sanity-check the render too.
 	if !strings.Contains(res.Render(), "TPE tuning") {
 		t.Fatal("render incomplete")
+	}
+}
+
+// TestTuneResultRenderStable: the tuned parameters print in search-space
+// order, so rendering one result twice gives the same string (it ranged
+// over the Params map, whose order changes from call to call).
+func TestTuneResultRenderStable(t *testing.T) {
+	res := &TuneResult{Model: ModelXGB, Kind: graphKindURLForTest(), Trials: 8,
+		Best: hyperopt.Params{"rounds": 12, "depth": 5, "eta": 0.2, "lambda": 1.5, "subsample": 0.8}}
+	want := res.Render()
+	for i := 0; i < 50; i++ {
+		if got := res.Render(); got != want {
+			t.Fatalf("render %d differs:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+	var order []string
+	for _, line := range strings.Split(want, "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			order = append(order, f[0])
+		}
+	}
+	if got := strings.Join(order, ","); got != "rounds,depth,eta,lambda,subsample" {
+		t.Fatalf("params printed as %s, want search-space order", got)
 	}
 }
 

@@ -33,8 +33,11 @@ func (r *TuneResult) Render() string {
 	fmt.Fprintf(&b, "TPE tuning of %s on %s IOCs (%d trials):\n", r.Model, r.Kind, r.Trials)
 	fmt.Fprintf(&b, "  default config validation B-Acc: %.4f\n", r.BaseScore)
 	fmt.Fprintf(&b, "  tuned config validation B-Acc:   %.4f\n", r.BestScore)
-	for name, v := range r.Best {
-		fmt.Fprintf(&b, "  %-16s %.4g\n", name, v)
+	// Search-space order, not map order, so the report is stable.
+	for _, d := range tuneSpace(r.Model) {
+		if v, ok := r.Best[d.Name]; ok {
+			fmt.Fprintf(&b, "  %-16s %.4g\n", d.Name, v)
+		}
 	}
 	return b.String()
 }
