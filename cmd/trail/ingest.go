@@ -5,17 +5,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"trail/internal/ckpt"
 	"trail/internal/core"
-	"trail/internal/gnn"
+	"trail/internal/graph"
 	"trail/internal/ingest"
 	"trail/internal/metrics"
 	"trail/internal/osint"
@@ -86,31 +83,11 @@ func cmdIngest(args []string) error {
 	// snapshot over the same encoders + weights.
 	reg := metrics.NewRegistry()
 	var srvPtr atomic.Pointer[serve.Server]
-	var makeSnap func(*core.TKG) (*serve.Snapshot, error)
+	var makeSnap func(*graph.Graph, map[graph.NodeID][]float64) (*serve.Snapshot, error)
 	if *addr != "" {
-		enc, err := gnn.LoadEncoders(filepath.Join(*modelDir, serve.EncodersFile))
-		if err != nil {
-			return fmt.Errorf("ingest: load encoders (run `trail train -dir %s` first): %w", *modelDir, err)
-		}
-		f32Path := filepath.Join(*modelDir, serve.ModelF32File)
-		if _, err := ckpt.Peek(f32Path); err == nil {
-			model, err := gnn.LoadModelOf[float32](f32Path)
-			if err != nil {
-				return fmt.Errorf("ingest: load float32 model: %w", err)
-			}
-			makeSnap = func(t *core.TKG) (*serve.Snapshot, error) {
-				return serve.NewSnapshot(t.G, t.Features, names, enc, model)
-			}
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("ingest: inspect %s: %w", f32Path, err)
-		} else {
-			model, err := gnn.LoadModel(filepath.Join(*modelDir, serve.ModelFile))
-			if err != nil {
-				return fmt.Errorf("ingest: load model (run `trail train -dir %s` first): %w", *modelDir, err)
-			}
-			makeSnap = func(t *core.TKG) (*serve.Snapshot, error) {
-				return serve.NewSnapshot(t.G, t.Features, names, enc, model)
-			}
+		var err error
+		if makeSnap, err = serve.LoadModelDir(*modelDir, names, logf); err != nil {
+			return err
 		}
 	}
 
@@ -139,7 +116,7 @@ func cmdIngest(args []string) error {
 			if s == nil {
 				return
 			}
-			snap, err := makeSnap(t)
+			snap, err := makeSnap(t.G, t.Features)
 			if err != nil {
 				logf("ingest: snapshot build failed at watermark %d: %v", wm, err)
 				return
@@ -180,7 +157,7 @@ func cmdIngest(args []string) error {
 			if err != nil {
 				return nil, err
 			}
-			return makeSnap(clone)
+			return makeSnap(clone.G, clone.Features)
 		})
 		if err != nil {
 			p.Close()

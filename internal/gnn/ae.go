@@ -43,17 +43,6 @@ func (l *linear[T]) forward(x *mat.Dense[T]) *mat.Dense[T] {
 	return out
 }
 
-// backward accumulates gradients given the layer input and the output
-// gradient, returning the input gradient.
-func (l *linear[T]) backward(x, grad *mat.Dense[T]) *mat.Dense[T] {
-	mat.AddInPlace(l.w.G, mat.MatMulTransA(x, grad))
-	bg := l.b.G.Row(0)
-	for i := 0; i < grad.Rows; i++ {
-		mat.Axpy(1, grad.Row(i), bg)
-	}
-	return mat.MatMulTransB(grad, l.w.W)
-}
-
 func (l *linear[T]) params() []*ml.ParamOf[T] { return []*ml.ParamOf[T]{l.w, l.b} }
 
 // forwardWS is forward with the output borrowed from ws instead of

@@ -196,14 +196,7 @@ func (m *ModelOf[T]) maskedGrad(in InputOf[T], sub *maskedSub[T], w []float64, v
 	// aggregation itself is the shared CSR kernel with the mask as entry
 	// values and 1/sumw as the row scale (rows below the epsilon stay
 	// zero, as in the loop nest this replaced).
-	h0 := in.Enc.Clone()
-	for ev, c := range visible {
-		if c >= 0 && c < m.classes {
-			row := h0.Row(int(ev))
-			mat.Axpy(1, m.labelEmb.w.W.Row(c), row)
-			mat.Axpy(1, m.labelEmb.b.W.Row(0), row)
-		}
-	}
+	h0 := m.labelEmb.labelledInput(mat.NewOf[T](in.Enc.Rows, in.Enc.Cols), in.Enc, visible, nil)
 	sumw := make([]float64, n)
 	for v := range subAdj {
 		for _, ei := range adjEdge[v] {

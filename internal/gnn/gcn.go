@@ -2,7 +2,6 @@ package gnn
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 
 	"trail/internal/graph"
@@ -94,120 +93,47 @@ func (g *GCNOf[T]) CloneGCN() *GCNOf[T] {
 // checkpoint hook, and bit-identical resume from a checkpointed
 // TrainState.
 func TrainGCNCtx[T mat.Float](in InputOf[T], trainEvents []graph.NodeID, cfg Config, opts TrainOptsOf[T]) (*GCNOf[T], error) {
-	st, err := opts.resumeFor(archGCN)
-	if err != nil {
-		return nil, err
-	}
-	var g *GCNOf[T]
-	if st != nil {
-		if st.GCN == nil {
+	return train(archGCN, in, trainEvents, opts, func(st *TrainStateOf[T]) (*GCNOf[T], error) {
+		switch {
+		case st == nil:
+			return NewGCNOf[T](cfg, in.Classes), nil
+		case st.GCN == nil:
 			return nil, errors.New("gnn: resume state carries no GCN weights")
 		}
-		g = st.GCN.CloneGCN()
-	} else {
-		g = NewGCNOf[T](cfg, in.Classes)
-	}
-	if len(trainEvents) < 2 {
-		return nil, errors.New("gnn: need at least 2 training events")
-	}
-	if in.Enc.Cols != g.Config.Encoding {
-		return nil, errors.New("gnn: encoding width mismatch")
-	}
-	ctx := opts.ctx()
-	src := ml.NewCountingSource(g.Config.Seed + 31)
-	ps := g.params()
-	opt := ml.NewAdamOf(g.Config.LR, ps)
-	start := 0
-	if st != nil {
-		start = st.Epoch
-		src = ml.RestoreRNG(st.RNG)
-		if err := opt.Restore(st.Opt); err != nil {
-			return nil, err
-		}
-	}
-	rng := rand.New(src)
+		return st.GCN.CloneGCN(), nil
+	})
+}
+
+func (g *GCNOf[T]) spec() (Config, int) { return g.Config, g.classes }
+
+func (g *GCNOf[T]) save(st *TrainStateOf[T]) { st.GCN = g.CloneGCN() }
+
+// stepper returns the GCN training pass: forward through the propagation
+// stack, then backward, where the adjoint of the symmetric propagation
+// is the propagation itself.
+func (g *GCNOf[T]) stepper(in InputOf[T], scr *trainScratch[T]) func(*rand.Rand) float64 {
 	s := gcnOperator(in)
-
-	checkpoint := func(completed int) error {
-		if opts.Checkpoint == nil {
-			return nil
+	acts := newGCNActs[T](len(g.layers))
+	return func(*rand.Rand) float64 {
+		scr.ws.Reset()
+		g.forward(in, s, nil, scr.visible, scr.ws, &acts)
+		grad := scr.ws.Get(acts.out.Rows, acts.out.Cols)
+		loss := mat.SoftmaxCrossEntropyInto(grad, acts.out, scr.targets, in.Labels, scr.probs)
+		gr := grad
+		for li := len(g.layers) - 1; li >= 0; li-- {
+			if li < len(g.layers)-1 {
+				mat.HadamardInPlace(gr, acts.masks[li])
+			}
+			gr = g.layers[li].backwardWS(scr.ws, acts.inputs[li], gr)
+			gp := scr.ws.GetDirty(s.Rows, gr.Cols)
+			s.SpMMInto(gp, gr)
+			gr = gp
 		}
-		return opts.Checkpoint(&TrainStateOf[T]{
-			Arch:  archGCN,
-			Epoch: completed,
-			RNG:   src.State(),
-			Opt:   opt.State(),
-			GCN:   g.CloneGCN(),
-		})
+		// Shared-class rows accumulate in a fixed order so training stays
+		// bit-reproducible (see labelGradScratch).
+		scr.lg.accumulate(gr, scr.visible, g.labelEmb, g.classes)
+		return loss
 	}
-
-	scr := newGCNScratch(g, len(trainEvents))
-	defer scr.ws.Release()
-	order := scr.order
-	bestLoss := math.Inf(1)
-	var bestW []*mat.Dense[T]
-	for epoch := start; epoch < g.Config.Epochs; epoch++ {
-		if err := ctx.Err(); err != nil {
-			if cerr := checkpoint(epoch); cerr != nil {
-				return nil, cerr
-			}
-			return nil, err
-		}
-		// Identity reset before the shuffle keeps the permutation a pure
-		// function of RNG position (see the SAGE fit loop).
-		for i := range order {
-			order[i] = i
-		}
-		mat.Shuffle(rng, order)
-		half := len(order) / 2
-		epochLoss, passes := 0.0, 0
-		for pass := 0; pass < 2; pass++ {
-			clear(scr.visible)
-			scr.targets = scr.targets[:0]
-			for i, oi := range order {
-				ev := trainEvents[oi]
-				if (i < half) == (pass == 0) {
-					scr.visible[ev] = in.Labels[ev]
-				} else {
-					scr.targets = append(scr.targets, ev)
-				}
-			}
-			if len(scr.targets) == 0 {
-				continue
-			}
-			loss, err := g.step(in, s, scr, ps, opt, epoch)
-			if err != nil {
-				if bestW != nil {
-					ml.RestoreParams(ps, bestW)
-				}
-				return g, err
-			}
-			epochLoss += loss
-			passes++
-		}
-		if passes > 0 {
-			if err := ml.CheckLoss(epoch, epochLoss/float64(passes)); err != nil {
-				if bestW != nil {
-					ml.RestoreParams(ps, bestW)
-				}
-				return g, err
-			}
-			if l := epochLoss / float64(passes); l < bestLoss {
-				bestLoss = l
-				if bestW == nil {
-					bestW = ml.CloneParams(ps)
-				} else if err := ml.CopyParams(bestW, ps); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if (epoch+1)%opts.every() == 0 {
-			if err := checkpoint(epoch + 1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return g, nil
 }
 
 type gcnActs[T mat.Float] struct {
@@ -216,32 +142,8 @@ type gcnActs[T mat.Float] struct {
 	out    *mat.Dense[T]
 }
 
-// gcnScratch mirrors sageScratch: one workspace plus the small reusable
-// slices, so steady-state epochs allocate nothing.
-type gcnScratch[T mat.Float] struct {
-	ws      *mat.WorkspaceOf[T]
-	acts    gcnActs[T]
-	probs   []T
-	order   []int
-	targets []graph.NodeID
-	visible map[graph.NodeID]int
-	lg      labelGradScratch[T]
-}
-
-func newGCNScratch[T mat.Float](g *GCNOf[T], nTrain int) *gcnScratch[T] {
-	L := len(g.layers)
-	return &gcnScratch[T]{
-		ws: trainWorkspaceOf[T](),
-		acts: gcnActs[T]{
-			inputs: make([]*mat.Dense[T], L),
-			masks:  make([]*mat.Dense[T], L),
-		},
-		probs:   make([]T, g.classes),
-		order:   make([]int, nTrain),
-		targets: make([]graph.NodeID, 0, nTrain),
-		visible: make(map[graph.NodeID]int, nTrain/2+1),
-		lg:      newLabelGradScratch[T](g.classes, nTrain),
-	}
+func newGCNActs[T mat.Float](layers int) gcnActs[T] {
+	return gcnActs[T]{inputs: make([]*mat.Dense[T], layers), masks: make([]*mat.Dense[T], layers)}
 }
 
 // forward runs the propagation stack. When perm is non-nil the pass runs
@@ -249,23 +151,7 @@ func newGCNScratch[T mat.Float](g *GCNOf[T], nTrain int) *gcnScratch[T] {
 // remapped), mirroring the SAGE forwardInfer contract; training always
 // passes nil.
 func (g *GCNOf[T]) forward(in InputOf[T], s *sparse.CSR[T], perm *sparse.Permutation, visible map[graph.NodeID]int, ws *mat.WorkspaceOf[T], acts *gcnActs[T]) *gcnActs[T] {
-	h := ws.GetDirty(in.Enc.Rows, in.Enc.Cols)
-	if perm != nil {
-		sparse.GatherRowsInto(perm, h, in.Enc)
-	} else {
-		mat.CopyInto(h, in.Enc)
-	}
-	for ev, c := range visible {
-		if c >= 0 && c < g.classes {
-			r := int(ev)
-			if perm != nil {
-				r = int(perm.Inv[ev])
-			}
-			row := h.Row(r)
-			mat.Axpy(1, g.labelEmb.w.W.Row(c), row)
-			mat.Axpy(1, g.labelEmb.b.W.Row(0), row)
-		}
-	}
+	h := g.labelEmb.labelledInput(ws.GetDirty(in.Enc.Rows, in.Enc.Cols), in.Enc, visible, perm)
 	for li, layer := range g.layers {
 		prop := ws.GetDirty(s.Rows, h.Cols)
 		s.SpMMInto(prop, h)
@@ -285,35 +171,6 @@ func (g *GCNOf[T]) forward(in InputOf[T], s *sparse.CSR[T], perm *sparse.Permuta
 	return acts
 }
 
-func (g *GCNOf[T]) step(in InputOf[T], s *sparse.CSR[T], scr *gcnScratch[T], ps []*ml.ParamOf[T], opt *ml.AdamOf[T], epoch int) (float64, error) {
-	scr.ws.Reset()
-	acts := g.forward(in, s, nil, scr.visible, scr.ws, &scr.acts)
-	logits := acts.out
-
-	grad := scr.ws.Get(logits.Rows, logits.Cols)
-	loss := mat.SoftmaxCrossEntropyInto(grad, logits, scr.targets, in.Labels, scr.probs)
-
-	gr := grad
-	for li := len(g.layers) - 1; li >= 0; li-- {
-		if li < len(g.layers)-1 {
-			mat.HadamardInPlace(gr, acts.masks[li])
-		}
-		gr = g.layers[li].backwardWS(scr.ws, acts.inputs[li], gr)
-		// Adjoint of the symmetric propagation is the propagation itself.
-		gp := scr.ws.GetDirty(s.Rows, gr.Cols)
-		s.SpMMInto(gp, gr)
-		gr = gp
-	}
-	// Shared-class rows accumulate in a fixed order so training stays
-	// bit-reproducible (see labelGradScratch).
-	scr.lg.accumulate(gr, scr.visible, g.labelEmb, g.classes)
-	if norm := ml.ClipGrads(ps, g.Config.ClipNorm); math.IsNaN(norm) || math.IsInf(norm, 0) {
-		return loss, &ml.DivergenceError{Quantity: "gradient", Epoch: epoch, Value: norm}
-	}
-	opt.Step()
-	return loss, nil
-}
-
 // Predict returns the argmax attribution per query event. All forward
 // scratch is pooled; only the returned slice is allocated. Large graphs
 // run in the cache-reordered vertex order (bit-identical results; see
@@ -321,10 +178,7 @@ func (g *GCNOf[T]) step(in InputOf[T], s *sparse.CSR[T], scr *gcnScratch[T], ps 
 func (g *GCNOf[T]) Predict(in InputOf[T], visible map[graph.NodeID]int, queries []graph.NodeID) []int {
 	ws := mat.NewWorkspaceOf[T]()
 	defer ws.Release()
-	acts := gcnActs[T]{
-		inputs: make([]*mat.Dense[T], len(g.layers)),
-		masks:  make([]*mat.Dense[T], len(g.layers)),
-	}
+	acts := newGCNActs[T](len(g.layers))
 	rs, perm := in.CSR.Reordered()
 	g.forward(in, rs.SymNormalizedWithSelfLoops(), perm, visible, ws, &acts)
 	out := make([]int, len(queries))

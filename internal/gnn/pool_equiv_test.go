@@ -133,12 +133,13 @@ func TestForwardInferMatchesTrainingForward(t *testing.T) {
 		agg := meanOperator(in)
 
 		ws := mat.NewWorkspaceOf[float64]()
-		scr := newSageScratch(m, len(train))
-		trainActs := m.forward(in, agg, visible, scr.ws, &scr.acts)
+		trainWS := trainWorkspaceOf[float64]()
+		acts := newActivations[float64](len(m.layers))
+		trainActs := m.forward(in, agg, visible, trainWS, &acts)
 		wantLogits := trainActs.h[len(trainActs.h)-1]
 		gotLogits := m.forwardInfer(in, agg, nil, visible, ws)
 		assertBitEqual(t, "forwardInfer logits", gotLogits, wantLogits)
 		ws.Release()
-		scr.ws.Release()
+		trainWS.Release()
 	}
 }

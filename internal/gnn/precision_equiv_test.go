@@ -256,8 +256,7 @@ func testStepZeroAllocs[T mat.Float](t *testing.T, in InputOf[T], train []graph.
 	m := NewModelOf[T](Config{Layers: 2, Hidden: 16, Encoding: 16, LR: 1e-2, Epochs: 1, Seed: 3}, in.Classes)
 	ps := m.params()
 	opt := ml.NewAdamOf(m.Config.LR, ps)
-	agg := meanOperator(in)
-	scr := newSageScratch(m, len(train))
+	scr := newTrainScratch[T](m.classes, len(train))
 	defer scr.ws.Release()
 	for i, ev := range train {
 		if i%2 == 0 {
@@ -266,8 +265,10 @@ func testStepZeroAllocs[T mat.Float](t *testing.T, in InputOf[T], train []graph.
 			scr.targets = append(scr.targets, ev)
 		}
 	}
+	pass := m.stepper(in, scr)
 	step := func() {
-		if _, err := m.step(in, agg, scr, ps, opt, 0); err != nil {
+		pass(nil)
+		if err := update(ps, opt, m.Config.ClipNorm, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

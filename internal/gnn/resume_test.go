@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"trail/internal/ckpt"
@@ -295,6 +296,59 @@ func TestFineTuneRestoresLR(t *testing.T) {
 	if m.Config.LR != orig {
 		t.Fatalf("LR not restored after FineTune: %v vs %v", m.Config.LR, orig)
 	}
+	// FineTune's epoch budget is a temporary override too.
+	if m.Config.Epochs != 2 {
+		t.Fatalf("Epochs not restored after FineTune: %d, want 2", m.Config.Epochs)
+	}
+}
+
+// TestResumeClassCountMismatch: a model that predicts a different
+// number of classes than the input carries is rejected with an error —
+// resumed from a checkpoint by either trainer, or fine-tuned — instead
+// of indexing past its logits (an index-out-of-range panic in the loss).
+func TestResumeClassCountMismatch(t *testing.T) {
+	in2, byClass2 := buildToyAttributionGraph(t, 2, 4, 4)
+	train2 := trainSplit(byClass2)
+	in3, byClass3 := buildToyAttributionGraph(t, 3, 4, 4)
+	train3 := trainSplit(byClass3)
+	cfg := resumeCfg(2)
+	lastState := func(t *testing.T, trainer func(TrainOpts) error) *TrainState {
+		t.Helper()
+		var st *TrainState
+		if err := trainer(TrainOpts{Checkpoint: func(s *TrainState) error { st = s; return nil }}); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) error
+	}{
+		{"SAGE resume", func(t *testing.T) error {
+			st := lastState(t, func(o TrainOpts) error { _, err := TrainCtx(in2, train2, cfg, o); return err })
+			_, err := TrainCtx(in3, train3, cfg, TrainOpts{Resume: st})
+			return err
+		}},
+		{"GCN resume", func(t *testing.T) error {
+			st := lastState(t, func(o TrainOpts) error { _, err := TrainGCNCtx(in2, train2, cfg, o); return err })
+			_, err := TrainGCNCtx(in3, train3, cfg, TrainOpts{Resume: st})
+			return err
+		}},
+		{"FineTune", func(t *testing.T) error {
+			m, err := TrainCtx(in2, train2, cfg, TrainOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.FineTune(in3, train3, 2)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run(t)
+			if err == nil || !strings.Contains(err.Error(), "predicts 2 classes, input has 3") {
+				t.Fatalf("want a class-count error, got %v", err)
+			}
+		})
+	}
 }
 
 // buildMultiKindGraph creates IOC nodes of all three encoder kinds with
@@ -413,43 +467,69 @@ func TestEncoderSetPersistRoundTrip(t *testing.T) {
 	}
 }
 
+// trainers are the two callers of the epoch driver, each reduced to "train
+// and return the weights" (nil when no model comes back).
+var trainers = []struct {
+	name  string
+	train func(in Input, train []graph.NodeID, cfg Config, opts TrainOpts) ([][]float64, error)
+}{
+	{"SAGE", func(in Input, train []graph.NodeID, cfg Config, opts TrainOpts) ([][]float64, error) {
+		m, err := TrainCtx(in, train, cfg, opts)
+		if m == nil {
+			return nil, err
+		}
+		return sageWeights(m), err
+	}},
+	{"GCN", func(in Input, train []graph.NodeID, cfg Config, opts TrainOpts) ([][]float64, error) {
+		g, err := TrainGCNCtx(in, train, cfg, opts)
+		if g == nil {
+			return nil, err
+		}
+		return gcnWeights(g), err
+	}},
+}
+
 // TestCheckpointEveryStride: CheckpointEvery > 1 only fires on the
 // stride, but a cancellation still persists the current epoch.
 func TestCheckpointEveryStride(t *testing.T) {
 	in, byClass := buildToyAttributionGraph(t, 2, 4, 4)
 	train := trainSplit(byClass)
 	cfg := resumeCfg(6)
-	var epochs []int
-	if _, err := TrainCtx(in, train, cfg, TrainOpts{
-		CheckpointEvery: 3,
-		Checkpoint:      func(st *TrainState) error { epochs = append(epochs, st.Epoch); return nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(epochs) != 2 || epochs[0] != 3 || epochs[1] != 6 {
-		t.Fatalf("stride-3 checkpoints at %v, want [3 6]", epochs)
-	}
-
-	// Cancel mid-stride: the final checkpoint carries the true epoch.
-	ctx, cancel := context.WithCancel(context.Background())
-	epochs = nil
-	_, err := TrainCtx(in, train, cfg, TrainOpts{
-		Ctx:             ctx,
-		CheckpointEvery: 3,
-		Checkpoint: func(st *TrainState) error {
-			epochs = append(epochs, st.Epoch)
-			if st.Epoch == 3 {
-				cancel()
+	for _, tr := range trainers {
+		t.Run(tr.name, func(t *testing.T) {
+			var epochs []int
+			if _, err := tr.train(in, train, cfg, TrainOpts{
+				CheckpointEvery: 3,
+				Checkpoint:      func(st *TrainState) error { epochs = append(epochs, st.Epoch); return nil },
+			}); err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		},
-	})
-	cancel()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if len(epochs) != 2 || epochs[1] != 3 {
-		t.Fatalf("cancellation checkpoints at %v, want final at epoch 3", epochs)
+			if len(epochs) != 2 || epochs[0] != 3 || epochs[1] != 6 {
+				t.Fatalf("stride-3 checkpoints at %v, want [3 6]", epochs)
+			}
+
+			// Cancel mid-stride: the final checkpoint carries the true epoch.
+			ctx, cancel := context.WithCancel(context.Background())
+			epochs = nil
+			_, err := tr.train(in, train, cfg, TrainOpts{
+				Ctx:             ctx,
+				CheckpointEvery: 3,
+				Checkpoint: func(st *TrainState) error {
+					epochs = append(epochs, st.Epoch)
+					if st.Epoch == 3 {
+						cancel()
+					}
+					return nil
+				},
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			if len(epochs) != 2 || epochs[1] != 3 {
+				t.Fatalf("cancellation checkpoints at %v, want final at epoch 3", epochs)
+			}
+		})
 	}
 }
 
@@ -461,19 +541,23 @@ func TestDivergenceRollback(t *testing.T) {
 	train := trainSplit(byClass)
 	cfg := resumeCfg(8)
 	cfg.LR = math.MaxFloat64 // drives weights to Inf, then Inf·0 → NaN
-	m, err := TrainCtx(in, train, cfg, TrainOpts{})
-	var div *ml.DivergenceError
-	if !errors.As(err, &div) {
-		t.Fatalf("want *ml.DivergenceError, got %v", err)
-	}
-	if m == nil {
-		t.Fatal("divergence must still return the rolled-back model")
-	}
-	for _, ws := range sageWeights(m) {
-		for _, v := range ws {
-			if v != v { // NaN check
-				t.Fatal("rolled-back model carries NaN weights")
+	for _, tr := range trainers {
+		t.Run(tr.name, func(t *testing.T) {
+			weights, err := tr.train(in, train, cfg, TrainOpts{})
+			var div *ml.DivergenceError
+			if !errors.As(err, &div) {
+				t.Fatalf("want *ml.DivergenceError, got %v", err)
 			}
-		}
+			if weights == nil {
+				t.Fatal("divergence must still return the rolled-back model")
+			}
+			for _, ws := range weights {
+				for _, v := range ws {
+					if v != v { // NaN check
+						t.Fatal("rolled-back model carries NaN weights")
+					}
+				}
+			}
+		})
 	}
 }

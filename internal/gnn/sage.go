@@ -171,27 +171,15 @@ func (m *ModelOf[T]) params() []*ml.ParamOf[T] {
 // divergence (*ml.DivergenceError) the returned model carries the
 // lowest-loss epoch's weights — rolled back, never NaN.
 func TrainCtx[T mat.Float](in InputOf[T], trainEvents []graph.NodeID, cfg Config, opts TrainOptsOf[T]) (*ModelOf[T], error) {
-	st, err := opts.resumeFor(archSAGE)
-	if err != nil {
-		return nil, err
-	}
-	var m *ModelOf[T]
-	if st != nil {
-		if st.SAGE == nil {
+	return train(archSAGE, in, trainEvents, opts, func(st *TrainStateOf[T]) (*ModelOf[T], error) {
+		switch {
+		case st == nil:
+			return NewModelOf[T](cfg, in.Classes), nil
+		case st.SAGE == nil:
 			return nil, errors.New("gnn: resume state carries no SAGE weights")
 		}
-		m = st.SAGE.CloneModel()
-	} else {
-		m = NewModelOf[T](cfg, in.Classes)
-	}
-	if err := m.fit(in, trainEvents, m.Config.Epochs, opts); err != nil {
-		var div *ml.DivergenceError
-		if errors.As(err, &div) {
-			return m, err
-		}
-		return nil, err
-	}
-	return m, nil
+		return st.SAGE.CloneModel(), nil
+	})
 }
 
 // CloneModel deep-copies the model (weights and config) so one trained
@@ -214,206 +202,41 @@ func (m *ModelOf[T]) CloneModel() *ModelOf[T] {
 // runs at a reduced learning rate so a small month of events refines the
 // model instead of overwriting it.
 func (m *ModelOf[T]) FineTune(in InputOf[T], trainEvents []graph.NodeID, epochs int) error {
-	orig := m.Config.LR
-	m.Config.LR = orig * 0.3
-	defer func() { m.Config.LR = orig }()
-	return m.fit(in, trainEvents, epochs, TrainOptsOf[T]{})
+	orig := m.Config
+	m.Config.LR = orig.LR * 0.3
+	m.Config.Epochs = epochs
+	defer func() { m.Config = orig }()
+	_, err := train(archSAGE, in, trainEvents, TrainOptsOf[T]{},
+		func(*TrainStateOf[T]) (*ModelOf[T], error) { return m, nil })
+	return err
 }
 
-// newTrainWorkspace supplies the scratch arena for every float64 fit
-// loop; newTrainWorkspace32 is its float32 counterpart. Tests swap in
-// mat.NewAllocWorkspaceOf to run the identical arithmetic with fresh
-// allocations and assert bit-identical weights (the pooled-vs-allocating
-// equivalence contract).
-var (
-	newTrainWorkspace   = mat.NewWorkspaceOf[float64]
-	newTrainWorkspace32 = mat.NewWorkspaceOf[float32]
-)
+func (m *ModelOf[T]) spec() (Config, int) { return m.Config, m.classes }
 
-// trainWorkspaceOf dispatches to the per-precision workspace hook.
-// Exotic named Float types get a non-pooled workspace.
-func trainWorkspaceOf[T mat.Float]() *mat.WorkspaceOf[T] {
-	switch any(T(0)).(type) {
-	case float64:
-		return any(newTrainWorkspace()).(*mat.WorkspaceOf[T])
-	case float32:
-		return any(newTrainWorkspace32()).(*mat.WorkspaceOf[T])
-	default:
-		return mat.NewAllocWorkspaceOf[T]()
-	}
-}
+func (m *ModelOf[T]) save(st *TrainStateOf[T]) { st.SAGE = m.CloneModel() }
 
-// sageScratch carries every buffer the epoch loop reuses: the workspace
-// for matrix scratch, the per-step activation slots, and the small
-// slices (shuffle order, targets, softmax probs, label-gradient buckets)
-// that used to be reallocated per pass.
-type sageScratch[T mat.Float] struct {
-	ws      *mat.WorkspaceOf[T]
-	acts    activations[T]
-	probs   []T
-	order   []int
-	targets []graph.NodeID
-	visible map[graph.NodeID]int
-	lg      labelGradScratch[T]
-}
-
-func newSageScratch[T mat.Float](m *ModelOf[T], nTrain int) *sageScratch[T] {
-	L := len(m.layers)
-	return &sageScratch[T]{
-		ws: trainWorkspaceOf[T](),
-		acts: activations[T]{
-			means: make([]*mat.Dense[T], L),
-			masks: make([]*mat.Dense[T], L),
-			norms: make([][]T, L),
-			h:     make([]*mat.Dense[T], L),
-		},
-		probs:   make([]T, m.classes),
-		order:   make([]int, nTrain),
-		targets: make([]graph.NodeID, 0, nTrain),
-		visible: make(map[graph.NodeID]int, nTrain/2+1),
-		lg:      newLabelGradScratch[T](m.classes, nTrain),
-	}
-}
-
-func (m *ModelOf[T]) fit(in InputOf[T], trainEvents []graph.NodeID, epochs int, opts TrainOptsOf[T]) error {
-	if len(trainEvents) < 2 {
-		return errors.New("gnn: need at least 2 training events")
-	}
-	if in.Enc.Cols != m.Config.Encoding {
-		return errors.New("gnn: encoding width mismatch")
-	}
-	ctx := opts.ctx()
-	src := ml.NewCountingSource(m.Config.Seed + 17)
-	ps := m.params()
-	opt := ml.NewAdamOf(m.Config.LR, ps)
-	start := 0
-	if opts.Resume != nil {
-		start = opts.Resume.Epoch
-		src = ml.RestoreRNG(opts.Resume.RNG)
-		if err := opt.Restore(opts.Resume.Opt); err != nil {
-			return err
-		}
-	}
-	rng := rand.New(src)
-	// One mean-aggregation operator (and, lazily, its adjoint) is shared
-	// across all epochs when no sampling is configured.
+// stepper returns the SAGE training pass: one full-graph forward/backward
+// over the shared mean-aggregation operator, or over a freshly sampled
+// one when MaxNeighbors caps the neighbourhood (the draw comes from the
+// driver's stream). All matrix scratch comes from the scratch workspace,
+// rewound per pass so every step reuses the same buffers.
+func (m *ModelOf[T]) stepper(in InputOf[T], scr *trainScratch[T]) func(*rand.Rand) float64 {
 	mean := meanOperator(in)
-
-	checkpoint := func(completed int) error {
-		if opts.Checkpoint == nil {
-			return nil
+	acts := newActivations[T](len(m.layers))
+	return func(rng *rand.Rand) float64 {
+		agg := mean
+		if m.Config.MaxNeighbors > 0 {
+			agg = sampleAdj(rng, in.CSR, m.Config.MaxNeighbors).MeanNormalized()
 		}
-		return opts.Checkpoint(&TrainStateOf[T]{
-			Arch:  archSAGE,
-			Epoch: completed,
-			RNG:   src.State(),
-			Opt:   opt.State(),
-			SAGE:  m.CloneModel(),
-		})
+		scr.ws.Reset()
+		m.forward(in, agg, scr.visible, scr.ws, &acts)
+		logits := acts.h[len(acts.h)-1]
+		// Cross-entropy loss and gradient on target rows only, fused.
+		grad := scr.ws.Get(logits.Rows, logits.Cols)
+		loss := mat.SoftmaxCrossEntropyInto(grad, logits, scr.targets, in.Labels, scr.probs)
+		m.backward(in, agg, &acts, scr.visible, grad, scr)
+		return loss
 	}
-
-	scr := newSageScratch(m, len(trainEvents))
-	defer scr.ws.Release()
-	order := scr.order
-	// Best-checkpoint rollback: track the lowest-loss epoch's weights so a
-	// divergent step surfaces a typed error over a usable model instead of
-	// NaN weights. The snapshot storage is allocated once and refreshed in
-	// place.
-	bestLoss := math.Inf(1)
-	var bestW []*mat.Dense[T]
-	rollback := func() {
-		if bestW != nil {
-			ml.RestoreParams(ps, bestW)
-		}
-	}
-	for epoch := start; epoch < epochs; epoch++ {
-		if err := ctx.Err(); err != nil {
-			// A cancellation (SIGINT at the CLI) still leaves a resumable
-			// checkpoint behind.
-			if cerr := checkpoint(epoch); cerr != nil {
-				return cerr
-			}
-			return err
-		}
-		// Reset to the identity before shuffling so the permutation at
-		// epoch k is a pure function of the RNG position — required for
-		// bit-identical resume (in-place shuffles would compose across
-		// epochs and depend on where training started).
-		for i := range order {
-			order[i] = i
-		}
-		mat.Shuffle(rng, order)
-		half := len(order) / 2
-		epochLoss, passes := 0.0, 0
-		// Alternate which half is context vs target across epochs.
-		for pass := 0; pass < 2; pass++ {
-			clear(scr.visible)
-			scr.targets = scr.targets[:0]
-			for i, oi := range order {
-				ev := trainEvents[oi]
-				if (i < half) == (pass == 0) {
-					scr.visible[ev] = in.Labels[ev]
-				} else {
-					scr.targets = append(scr.targets, ev)
-				}
-			}
-			if len(scr.targets) == 0 {
-				continue
-			}
-			agg := mean
-			if m.Config.MaxNeighbors > 0 {
-				agg = sampleAdj(rng, in.CSR, m.Config.MaxNeighbors).MeanNormalized()
-			}
-			loss, err := m.step(in, agg, scr, ps, opt, epoch)
-			if err != nil {
-				rollback()
-				return err
-			}
-			epochLoss += loss
-			passes++
-		}
-		if passes > 0 {
-			if err := ml.CheckLoss(epoch, epochLoss/float64(passes)); err != nil {
-				rollback()
-				return err
-			}
-			if l := epochLoss / float64(passes); l < bestLoss {
-				bestLoss = l
-				if bestW == nil {
-					bestW = ml.CloneParams(ps)
-				} else if err := ml.CopyParams(bestW, ps); err != nil {
-					return err
-				}
-			}
-		}
-		if (epoch+1)%opts.every() == 0 {
-			if err := checkpoint(epoch + 1); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// step runs one full-graph forward/backward pass and an optimiser
-// update, returning the mean cross-entropy loss over the targets. agg is
-// the mean-aggregation operator for this pass (the shared full-graph
-// operator, or a freshly sampled one). All matrix scratch comes from the
-// scratch workspace, rewound here so every step reuses the same buffers.
-func (m *ModelOf[T]) step(in InputOf[T], agg *sparse.CSR[T], scr *sageScratch[T], ps []*ml.ParamOf[T], opt *ml.AdamOf[T], epoch int) (float64, error) {
-	scr.ws.Reset()
-	acts := m.forward(in, agg, scr.visible, scr.ws, &scr.acts)
-	logits := acts.h[len(acts.h)-1]
-
-	// Cross-entropy loss and gradient on target rows only, fused.
-	grad := scr.ws.Get(logits.Rows, logits.Cols)
-	loss := mat.SoftmaxCrossEntropyInto(grad, logits, scr.targets, in.Labels, scr.probs)
-	m.backward(in, agg, acts, scr.visible, grad, scr)
-	if norm := ml.ClipGrads(ps, m.Config.ClipNorm); math.IsNaN(norm) || math.IsInf(norm, 0) {
-		return loss, &ml.DivergenceError{Quantity: "gradient", Epoch: epoch, Value: norm}
-	}
-	opt.Step()
-	return loss, nil
 }
 
 // activations caches the forward pass for backprop. The per-layer slices
@@ -427,22 +250,21 @@ type activations[T mat.Float] struct {
 	h     []*mat.Dense[T] // layer outputs; h[len-1] = logits
 }
 
+func newActivations[T mat.Float](layers int) activations[T] {
+	return activations[T]{
+		means: make([]*mat.Dense[T], layers),
+		masks: make([]*mat.Dense[T], layers),
+		norms: make([][]T, layers),
+		h:     make([]*mat.Dense[T], layers),
+	}
+}
+
 // forward computes all node representations; visible supplies event
 // labels injected as input features. Scratch buffers are borrowed from
 // ws; acts supplies the per-layer slots to fill.
 func (m *ModelOf[T]) forward(in InputOf[T], agg *sparse.CSR[T], visible map[graph.NodeID]int, ws *mat.WorkspaceOf[T], acts *activations[T]) *activations[T] {
 	n := agg.Rows
-	h0 := ws.GetDirty(in.Enc.Rows, in.Enc.Cols)
-	mat.CopyInto(h0, in.Enc)
-	for ev, c := range visible {
-		if c >= 0 && c < m.classes {
-			// One-hot label through the embedding layer = row c of the
-			// weight matrix plus bias.
-			row := h0.Row(int(ev))
-			mat.Axpy(1, m.labelEmb.w.W.Row(c), row)
-			mat.Axpy(1, m.labelEmb.b.W.Row(0), row)
-		}
-	}
+	h0 := m.labelEmb.labelledInput(ws.GetDirty(in.Enc.Rows, in.Enc.Cols), in.Enc, visible, nil)
 	acts.h0 = h0
 
 	cur := h0
@@ -492,7 +314,7 @@ func (m *ModelOf[T]) forward(in InputOf[T], agg *sparse.CSR[T], visible map[grap
 
 // backward propagates grad (w.r.t. the logits) through the network,
 // accumulating parameter gradients.
-func (m *ModelOf[T]) backward(in InputOf[T], agg *sparse.CSR[T], acts *activations[T], visible map[graph.NodeID]int, grad *mat.Dense[T], scr *sageScratch[T]) {
+func (m *ModelOf[T]) backward(in InputOf[T], agg *sparse.CSR[T], acts *activations[T], visible map[graph.NodeID]int, grad *mat.Dense[T], scr *trainScratch[T]) {
 	ws := scr.ws
 	layerIn := func(li int) *mat.Dense[T] {
 		if li == 0 {
@@ -682,23 +504,7 @@ func sampleAdj[T mat.Float](rng *rand.Rand, a *sparse.CSR[T], k int) *sparse.CSR
 // for bit.
 func (m *ModelOf[T]) forwardInfer(in InputOf[T], agg *sparse.CSR[T], perm *sparse.Permutation, visible map[graph.NodeID]int, ws *mat.WorkspaceOf[T]) *mat.Dense[T] {
 	n := agg.Rows
-	cur := ws.GetDirty(in.Enc.Rows, in.Enc.Cols)
-	if perm != nil {
-		sparse.GatherRowsInto(perm, cur, in.Enc)
-	} else {
-		mat.CopyInto(cur, in.Enc)
-	}
-	for ev, c := range visible {
-		if c >= 0 && c < m.classes {
-			r := int(ev)
-			if perm != nil {
-				r = int(perm.Inv[ev])
-			}
-			row := cur.Row(r)
-			mat.Axpy(1, m.labelEmb.w.W.Row(c), row)
-			mat.Axpy(1, m.labelEmb.b.W.Row(0), row)
-		}
-	}
+	cur := m.labelEmb.labelledInput(ws.GetDirty(in.Enc.Rows, in.Enc.Cols), in.Enc, visible, perm)
 	for li, layer := range m.layers {
 		next := ws.GetDirty(n, layer.w.W.Cols)
 		agg.SAGELayerInto(next, cur, layer.w.W, m.selfW[li].W, layer.b.W.Row(0))
@@ -715,6 +521,27 @@ func (m *ModelOf[T]) forwardInfer(in InputOf[T], agg *sparse.CSR[T], perm *spars
 		cur = next
 	}
 	return cur
+}
+
+// labelledInput writes a model's input rows into dst and returns it: the
+// encoded features, plus the label embedding of every visible event. A
+// one-hot label through the embedding layer l is row c of its weights
+// plus the bias; labels outside l's classes stay unseen. When perm is
+// non-nil the rows are in the permuted vertex order.
+func (l *linear[T]) labelledInput(dst, enc *mat.Dense[T], visible map[graph.NodeID]int, perm *sparse.Permutation) *mat.Dense[T] {
+	if perm != nil {
+		sparse.GatherRowsInto(perm, dst, enc)
+	} else {
+		mat.CopyInto(dst, enc)
+	}
+	for ev, c := range visible {
+		if c >= 0 && c < l.w.W.Rows {
+			row := dst.Row(queryRow(perm, ev))
+			mat.Axpy(1, l.w.W.Row(c), row)
+			mat.Axpy(1, l.b.W.Row(0), row)
+		}
+	}
+	return dst
 }
 
 // queryRow maps an original node ID to its logits row under an optional
@@ -781,18 +608,16 @@ func CastModel[T, U mat.Float](m *ModelOf[U]) *ModelOf[T] {
 	return out
 }
 
-// Predict returns the argmax attribution per query event. The softmax
-// scratch is pooled: only the returned slice is allocated.
+// Predict returns the argmax attribution per query event, read from the
+// PredictProbaInto rows. The scratch is pooled: only the returned slice
+// is allocated.
 func (m *ModelOf[T]) Predict(in InputOf[T], visible map[graph.NodeID]int, queries []graph.NodeID) []int {
 	ws := mat.NewWorkspaceOf[T]()
 	defer ws.Release()
-	agg, perm := inferOperator(in)
-	logits := m.forwardInfer(in, agg, perm, visible, ws)
-	probs := ws.VecDirty(m.classes)
+	probs := m.PredictProbaInto(ws.GetDirty(len(queries), m.classes), in, visible, queries, ws)
 	out := make([]int, len(queries))
-	for i, q := range queries {
-		mat.Softmax(probs, logits.Row(queryRow(perm, q)))
-		out[i] = mat.Argmax(probs)
+	for i := range out {
+		out[i] = mat.Argmax(probs.Row(i))
 	}
 	return out
 }
@@ -802,14 +627,11 @@ func (m *ModelOf[T]) Predict(in InputOf[T], visible map[graph.NodeID]int, querie
 func (m *ModelOf[T]) Confidence(in InputOf[T], visible map[graph.NodeID]int, queries []graph.NodeID) []float64 {
 	ws := mat.NewWorkspaceOf[T]()
 	defer ws.Release()
-	agg, perm := inferOperator(in)
-	logits := m.forwardInfer(in, agg, perm, visible, ws)
-	probs := ws.VecDirty(m.classes)
+	probs := m.PredictProbaInto(ws.GetDirty(len(queries), m.classes), in, visible, queries, ws)
 	out := make([]float64, len(queries))
-	for i, q := range queries {
-		mat.Softmax(probs, logits.Row(queryRow(perm, q)))
+	for i := range out {
 		best := math.Inf(-1)
-		for _, v := range probs {
+		for _, v := range probs.Row(i) {
 			if f := float64(v); f > best {
 				best = f
 			}

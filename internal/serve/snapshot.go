@@ -183,47 +183,63 @@ func (s *Snapshot) Attribute(queries []graph.NodeID, out [][]float64) {
 type Loader func() (*Snapshot, error)
 
 // DirLoader returns a Loader over a `trail train` checkpoint directory:
-// tkg.ck (graph + features), encoders.ck, and the model. When a float32
-// serving checkpoint (model.f32.ck) is present it is preferred — the
-// ROADMAP item-5 default — otherwise the float64 model.ck is served with
-// a logged notice. The enrichment services and APT resolver reattach the
-// TKG exactly as core.LoadTKG requires; logf (optional) receives
+// tkg.ck (graph + features), plus the encoders and model that
+// LoadModelDir picks. The enrichment services and APT resolver reattach
+// the TKG exactly as core.LoadTKG requires; logf (optional) receives
 // progress notices.
 func DirLoader(dir string, svc osint.Services, resolver *apt.Resolver, logf func(format string, args ...any)) Loader {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	return func() (*Snapshot, error) {
 		tkg, err := core.LoadTKG(filepath.Join(dir, TKGFile), svc, resolver)
 		if err != nil {
 			return nil, fmt.Errorf("serve: load TKG: %w", err)
 		}
-		enc, err := gnn.LoadEncoders(filepath.Join(dir, EncodersFile))
+		build, err := LoadModelDir(dir, resolver.Names(), logf)
 		if err != nil {
-			return nil, fmt.Errorf("serve: load encoders: %w", err)
+			return nil, err
 		}
-		names := resolver.Names()
+		return build(tkg.G, tkg.Features)
+	}
+}
 
-		f32Path := filepath.Join(dir, ModelF32File)
-		if info, err := ckpt.Peek(f32Path); err == nil {
-			model, err := gnn.LoadModelOf[float32](f32Path)
-			if err != nil {
-				return nil, fmt.Errorf("serve: load float32 model: %w", err)
-			}
-			logf("serve: loaded float32 model %s (kind %s v%d, %d payload bytes)",
-				ModelF32File, info.Kind, info.Version, info.Length)
-			return NewSnapshot(tkg.G, tkg.Features, names, enc, model)
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("serve: inspect %s: %w", ModelF32File, err)
-		}
-
-		model, err := gnn.LoadModel(filepath.Join(dir, ModelFile))
+// LoadModelDir loads the artefacts of a `trail train` directory that stay
+// fixed from one snapshot to the next — encoders.ck and the model — and
+// returns a builder of snapshots over any graph and feature set. It is
+// the one place that picks the serving precision: a float32 checkpoint
+// (model.f32.ck) is preferred when present — the ROADMAP item-5 default —
+// otherwise the float64 model.ck is served with a logged notice. logf
+// (optional) receives those notices.
+func LoadModelDir(dir string, names []string, logf func(format string, args ...any)) (func(*graph.Graph, map[graph.NodeID][]float64) (*Snapshot, error), error) {
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	enc, err := gnn.LoadEncoders(filepath.Join(dir, EncodersFile))
+	if err != nil {
+		return nil, fmt.Errorf("serve: load encoders (run `trail train -dir %s` first): %w", dir, err)
+	}
+	f32Path := filepath.Join(dir, ModelF32File)
+	if info, err := ckpt.Peek(f32Path); err == nil {
+		model, err := gnn.LoadModelOf[float32](f32Path)
 		if err != nil {
-			return nil, fmt.Errorf("serve: load model: %w", err)
+			return nil, fmt.Errorf("serve: load float32 model: %w", err)
 		}
-		logf("serve: no %s in %s — serving at float64 (run `trail train -f32` to emit a float32 serving checkpoint)",
-			ModelF32File, dir)
-		return NewSnapshot(tkg.G, tkg.Features, names, enc, model)
+		logf("serve: loaded float32 model %s (kind %s v%d, %d payload bytes)",
+			ModelF32File, info.Kind, info.Version, info.Length)
+		return snapshotsOf(names, enc, model), nil
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("serve: inspect %s: %w", f32Path, err)
+	}
+	model, err := gnn.LoadModel(filepath.Join(dir, ModelFile))
+	if err != nil {
+		return nil, fmt.Errorf("serve: load model (run `trail train -dir %s` first): %w", dir, err)
+	}
+	logf("serve: no %s in %s — serving at float64 (run `trail train -f32` to emit a float32 serving checkpoint)",
+		ModelF32File, dir)
+	return snapshotsOf(names, enc, model), nil
+}
+
+func snapshotsOf[T mat.Float](names []string, enc *gnn.EncoderSet, model *gnn.ModelOf[T]) func(*graph.Graph, map[graph.NodeID][]float64) (*Snapshot, error) {
+	return func(g *graph.Graph, feats map[graph.NodeID][]float64) (*Snapshot, error) {
+		return NewSnapshot(g, feats, names, enc, model)
 	}
 }
 
