@@ -303,21 +303,21 @@ func (t *TKG) AddPulse(p osint.Pulse) (graph.NodeID, error) {
 
 // expand follows the Table I relations of one IOC, creating secondary
 // nodes via touch at hop+1. Enrichment failures leave the node in place
-// with whatever relations did resolve, flagged Degraded.
+// with whatever relations did resolve, flagged Degraded. Only expand's
+// own lookups count: touch featurizes each new child, and a child's
+// failed lookup degrades the child, not this node.
 func (t *TKG) expand(id graph.NodeID, item ioc.IOC, hop int, touch func(ioc.IOC, int) (graph.NodeID, bool)) {
-	before := t.enrichErrs.Load()
-	defer func() {
-		if t.enrichErrs.Load() > before {
-			t.markDegraded(id)
-		}
-	}()
 	switch item.Type {
 	case ioc.TypeIP:
-		if rec, ok := t.svc.LookupIP(item.Value); ok && rec.ASN != 0 {
+		before := t.enrichErrs.Load()
+		rec, okRec := t.svc.LookupIP(item.Value)
+		domains, okDomains := t.svc.PassiveDNSIP(item.Value)
+		t.degradeOnErrors(id, before)
+		if okRec && rec.ASN != 0 {
 			asnID, _ := t.G.Upsert(graph.KindASN, fmt.Sprintf("AS%d", rec.ASN))
 			t.G.AddEdge(id, asnID, graph.EdgeInGroup)
 		}
-		if domains, ok := t.svc.PassiveDNSIP(item.Value); ok {
+		if okDomains {
 			for _, d := range domains {
 				if dID, ok := touch(ioc.IOC{Type: ioc.TypeDomain, Value: d}, hop+1); ok {
 					t.G.AddEdge(id, dID, graph.EdgeARecord)
@@ -325,7 +325,10 @@ func (t *TKG) expand(id graph.NodeID, item ioc.IOC, hop int, touch func(ioc.IOC,
 			}
 		}
 	case ioc.TypeDomain:
-		if rec, ok := t.svc.PassiveDNSDomain(item.Value); ok {
+		before := t.enrichErrs.Load()
+		rec, ok := t.svc.PassiveDNSDomain(item.Value)
+		t.degradeOnErrors(id, before)
+		if ok {
 			for _, ip := range rec.ARecords {
 				if ipID, ok := touch(ioc.IOC{Type: ioc.TypeIP, Value: ip}, hop+1); ok {
 					t.G.AddEdge(id, ipID, graph.EdgeResolvesTo)
@@ -339,13 +342,24 @@ func (t *TKG) expand(id graph.NodeID, item ioc.IOC, hop int, touch func(ioc.IOC,
 				t.G.AddEdge(id, dID, graph.EdgeHostedOn)
 			}
 		}
-		if rec, ok := t.svc.ProbeURL(item.Value); ok {
+		before := t.enrichErrs.Load()
+		rec, ok := t.svc.ProbeURL(item.Value)
+		t.degradeOnErrors(id, before)
+		if ok {
 			for _, ip := range rec.ResolvesTo {
 				if ipID, ok := touch(ioc.IOC{Type: ioc.TypeIP, Value: ip}, hop+1); ok {
 					t.G.AddEdge(id, ipID, graph.EdgeResolvesTo)
 				}
 			}
 		}
+	}
+}
+
+// degradeOnErrors flags id Degraded if the enrichment error count has
+// grown past before.
+func (t *TKG) degradeOnErrors(id graph.NodeID, before int64) {
+	if t.enrichErrs.Load() > before {
+		t.markDegraded(id)
 	}
 }
 
