@@ -281,14 +281,8 @@ func cmdAttribute(args []string) error {
 			continue
 		}
 		tkg.FinalizeLabels()
-		seeds := make(map[graph.NodeID]int)
-		for _, ev := range tkg.EventNodes() {
-			if ev != evID {
-				if l := tkg.G.Node(ev).Label; l >= 0 {
-					seeds[ev] = l
-				}
-			}
-		}
+		seeds := tkg.EventSeeds()
+		delete(seeds, evID)
 		pred := labelprop.AttributeCSR(tkg.G.CSR(), seeds, []graph.NodeID{evID}, len(names), *layers)[0]
 		verdict := "UNATTRIBUTED"
 		if pred >= 0 {

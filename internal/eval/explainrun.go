@@ -183,7 +183,7 @@ func RunFigure10(ctx *Context, aptName string, topK int) (*Figure10Result, error
 	// prediction is still useful ("analysts may still use the IOCs
 	// identified as important to continue their search").
 	var target, fallback graph.NodeID = -1, -1
-	visible := visibleLabels(ctx.TKG.G)
+	visible := ctx.TKG.EventSeeds()
 	for _, ev := range ctx.TKG.EventNodes() {
 		if ctx.TKG.G.Node(ev).Label != class {
 			continue

@@ -57,17 +57,6 @@ func (c *Context) encoders() (*gnn.EncoderSet, error) {
 	return c.encSet, c.encErr
 }
 
-// visibleLabels returns a visibility map for every labelled event in g.
-func visibleLabels(g *graph.Graph) map[graph.NodeID]int {
-	vis := make(map[graph.NodeID]int)
-	g.ForEachNode(func(n graph.Node) {
-		if n.Kind == graph.KindEvent && n.Label >= 0 {
-			vis[n.ID] = n.Label
-		}
-	})
-	return vis
-}
-
 // CaseStudyResult reproduces §VII-C (Figs. 5-6): a never-seen event is
 // merged into the TKG, enriched, and attributed by LP and by the GNN with
 // and without neighbour labels.
@@ -157,7 +146,7 @@ func RunCaseStudy(ctx *Context) (*CaseStudyResult, error) {
 	}
 
 	// Label propagation with every other event labelled.
-	seeds := visibleLabels(tkg.G)
+	seeds := tkg.EventSeeds()
 	delete(seeds, evID)
 	lpPred := labelprop.AttributeCSR(tkg.G.CSR(), seeds, []graph.NodeID{evID}, ctx.Classes, 4)[0]
 	res.LPPrediction = nameOf(ctx, lpPred)
@@ -298,7 +287,7 @@ func RunFigure7(ctx *Context) (*Figure7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseVisible := visibleLabels(tkg.G)
+	baseVisible := tkg.EventSeeds()
 
 	var newEvents []graph.NodeID
 	for _, p := range ctx.World.PulsesInMonths(ctx.TrainMonths, ctx.TrainMonths+1) {
@@ -389,7 +378,7 @@ func RunFigure8(ctx *Context) (*Figure8Result, error) {
 		return nil, err
 	}
 	liveModel := frozenModel.CloneModel()
-	frozenVisible := visibleLabels(ctx.TKG.G)
+	frozenVisible := ctx.TKG.EventSeeds()
 
 	res := &Figure8Result{}
 	fineTuneEpochs := 15
@@ -434,7 +423,7 @@ func RunFigure8(ctx *Context) (*Figure8Result, error) {
 		}
 		liveTKG.FinalizeLabels()
 		lIn := gnn.BuildInput(liveTKG.G, liveTKG.Features, set, ctx.Classes)
-		lVisible := visibleLabels(liveTKG.G)
+		lVisible := liveTKG.EventSeeds()
 		for _, ev := range lEvents {
 			delete(lVisible, ev)
 		}
