@@ -6,7 +6,7 @@ GO ?= go
 # BENCH_<n>.json when invoked without -baseline.
 BENCH_BASELINE ?= BENCH_10.json
 
-.PHONY: all build test race bench bench-kernels bench-json bench-check bench-harness vet loc chaos resume smoke serve-smoke ingest-smoke shard-smoke experiments-check
+.PHONY: all build test race bench bench-kernels bench-json bench-check bench-harness vet loc deadcode chaos resume smoke serve-smoke ingest-smoke shard-smoke experiments-check
 
 all: build test
 
@@ -113,3 +113,9 @@ vet:
 # scripts/loc.sh); diff it across two checkouts for a change's net delta.
 loc:
 	bash scripts/loc.sh
+
+# deadcode fails on any func in internal/ that no program (cmd/, examples/,
+# perfbench) links, unless scripts/deadcode.allow names the test that
+# needs it; stale allowlist entries fail too. See scripts/deadcode.sh.
+deadcode:
+	bash scripts/deadcode.sh

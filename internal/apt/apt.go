@@ -280,13 +280,5 @@ func (r *Resolver) ResolveTags(tags []string) (ID, bool) {
 	return found, found != Unknown
 }
 
-// Name returns the canonical name for id, or "UNKNOWN".
-func (r *Resolver) Name(id ID) string {
-	if id < 0 || int(id) >= len(r.names) {
-		return "UNKNOWN"
-	}
-	return r.names[id]
-}
-
 // Names returns the canonical names in roster order.
 func (r *Resolver) Names() []string { return append([]string(nil), r.names...) }

@@ -83,10 +83,4 @@ func TestResolverNames(t *testing.T) {
 	if len(names) != Count {
 		t.Fatalf("%d names", len(names))
 	}
-	if r.Name(Unknown) != "UNKNOWN" {
-		t.Fatal("Unknown should render as UNKNOWN")
-	}
-	if r.Name(0) != names[0] {
-		t.Fatal("Name(0) mismatch")
-	}
 }

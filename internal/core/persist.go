@@ -76,13 +76,8 @@ func (t *TKG) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// ReadTKG loads a TKG written by WriteTo, reattaching the given
-// enrichment services and resolver (which are not serialised).
-func ReadTKG(r io.Reader, svc osint.Services, resolver *apt.Resolver) (*TKG, error) {
-	return ReadTKGFallible(r, osint.Infallible(svc), resolver)
-}
-
-// ReadTKGFallible is ReadTKG reattaching an error-aware services stack,
+// ReadTKGFallible loads a TKG written by WriteTo, reattaching the given
+// error-aware services stack and resolver (which are not serialised),
 // so a recovered TKG keeps the degradation ladder (resilience
 // middleware, Degraded flags, imputation) it was built under —
 // streaming ingest recovers through this path.

@@ -14,7 +14,7 @@ func TestTKGSnapshotRoundTrip(t *testing.T) {
 	if _, err := tkg.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadTKG(&buf, w, w.Resolver())
+	loaded, err := ReadTKGFallible(&buf, osint.Infallible(w), w.Resolver())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestTKGSnapshotCorruptionDetected(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	// Truncate the trailer: the feature envelope should fail to decode.
-	if _, err := ReadTKG(bytes.NewReader(raw[:len(raw)-10]), w, w.Resolver()); err == nil {
+	if _, err := ReadTKGFallible(bytes.NewReader(raw[:len(raw)-10]), osint.Infallible(w), w.Resolver()); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
 }

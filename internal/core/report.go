@@ -112,7 +112,3 @@ func (im *imputer) impute(t ioc.Type, v []float64) {
 		}
 	}
 }
-
-// observations reports how many vectors of type t have been folded in
-// (exposed for tests).
-func (im *imputer) observations(t ioc.Type) int { return im.count[t] }

@@ -171,7 +171,7 @@ func TestTKGRoundTripSmall(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := tkgBytes(t, tkg)
-		back, err := ReadTKG(bytes.NewReader(want), w, w.Resolver())
+		back, err := ReadTKGFallible(bytes.NewReader(want), osint.Infallible(w), w.Resolver())
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

@@ -28,7 +28,7 @@ func TestBuildProducesEventsAndIOCs(t *testing.T) {
 		t.Fatal("no events built")
 	}
 	for _, k := range []graph.NodeKind{graph.KindIP, graph.KindURL, graph.KindDomain, graph.KindASN} {
-		if tkg.G.KindCount(k) == 0 {
+		if len(tkg.G.NodesOfKind(k)) == 0 {
 			t.Errorf("no %s nodes", k)
 		}
 	}

@@ -55,15 +55,6 @@ func (r *Figure4Result) Render() string {
 	return b.String()
 }
 
-// MaxReuse returns the largest observed reuse for a kind (0 if none).
-func (r *Figure4Result) MaxReuse(k graph.NodeKind) int {
-	buckets := r.Histogram[k]
-	if len(buckets) == 0 {
-		return 0
-	}
-	return buckets[len(buckets)-1].Reuse
-}
-
 // SingleUseFraction returns the fraction of first-order IOCs of kind k
 // seen in exactly one event; the paper's Fig. 4 shows this dominates.
 func (r *Figure4Result) SingleUseFraction(k graph.NodeKind) float64 {

@@ -33,14 +33,9 @@ func NewSHAP(model ml.Classifier, background *mat.Matrix) *SHAP {
 	return &SHAP{Model: model, Background: background, Permutations: 8, Seed: 1}
 }
 
-// Values returns the estimated Shapley value of every feature of x for
-// the given class's predicted probability. The values approximately sum
-// to f(x) - E[f(background)].
-func (s *SHAP) Values(x []float64, class int) []float64 {
-	rng := rand.New(rand.NewSource(s.Seed))
-	return s.values(rng, x, class)
-}
-
+// values returns the estimated Shapley value of every feature of x for
+// the given class's predicted probability, drawing feature orders from
+// rng. The values approximately sum to f(x) - E[f(background)].
 func (s *SHAP) values(rng *rand.Rand, x []float64, class int) []float64 {
 	d := len(x)
 	phi := make([]float64, d)

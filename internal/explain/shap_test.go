@@ -58,7 +58,7 @@ func TestSHAPValuesSumToModelDelta(t *testing.T) {
 	shap.Permutations = 40 // tight estimate for the additivity check
 
 	x := X.Row(3)
-	phi := shap.Values(x, 1)
+	phi := shap.values(rand.New(rand.NewSource(shap.Seed)), x, 1)
 	sum := mat.Sum(phi)
 
 	fx := model.PredictProba(mat.FromRows([][]float64{x})).At(0, 1)

@@ -28,21 +28,6 @@ const (
 	DomainDim = osint.NumTLDs + 9 + 1 + 4 + 1                                                                                                                                        // 115
 )
 
-// Dim returns the feature dimensionality for an IOC type (0 for types
-// without features, i.e. ASNs and events).
-func Dim(t ioc.Type) int {
-	switch t {
-	case ioc.TypeIP:
-		return IPDim
-	case ioc.TypeURL:
-		return URLDim
-	case ioc.TypeDomain:
-		return DomainDim
-	default:
-		return 0
-	}
-}
-
 // Extractor computes feature vectors by querying an enrichment backend.
 // It is stateless apart from the immutable vocabulary indexes and safe
 // for concurrent use.

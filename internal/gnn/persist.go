@@ -25,12 +25,10 @@ import (
 // *ckpt.KindError instead of silently reinterpreting weights.
 const (
 	KindSAGE     = "gnn.sage"
-	KindGCN      = "gnn.gcn"
 	KindEncoders = "gnn.encoders"
 	KindTrain    = "gnn.train"
 
 	VersionSAGE     uint32 = 1
-	VersionGCN      uint32 = 1
 	VersionEncoders uint32 = 1
 	VersionTrain    uint32 = 1
 )
@@ -295,20 +293,6 @@ func LoadModelOf[T mat.Float](path string) (*ModelOf[T], error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// SaveGCN atomically writes a GCN model checkpoint.
-func SaveGCN[T mat.Float](path string, g *GCNOf[T]) error {
-	return ckpt.SaveGob(path, kindFor[T](KindGCN), VersionGCN, g)
-}
-
-// LoadGCNOf reads a GCN model checkpoint at element type T.
-func LoadGCNOf[T mat.Float](path string) (*GCNOf[T], error) {
-	g := &GCNOf[T]{}
-	if err := ckpt.LoadGob(path, kindFor[T](KindGCN), VersionGCN, g); err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // SaveEncoders atomically writes an (optionally partial) encoder set.

@@ -203,25 +203,6 @@ func TestSAGEPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGCNPersistRoundTrip mirrors the SAGE round trip for the baseline.
-func TestGCNPersistRoundTrip(t *testing.T) {
-	in, byClass := buildToyAttributionGraph(t, 2, 5, 4)
-	train := trainSplit(byClass)
-	g, err := TrainGCNCtx(in, train, resumeCfg(2), TrainOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "gcn.ck")
-	if err := SaveGCN(path, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadGCNOf[float64](path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertWeightsEqual(t, "gcn round trip", gcnWeights(g), gcnWeights(got))
-}
-
 // TestTrainStateCorruption: a flipped byte or truncated tail in a
 // persisted checkpoint surfaces as a typed ckpt error, never as garbage
 // weights.

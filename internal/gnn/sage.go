@@ -79,20 +79,6 @@ type Config struct {
 	ClipNorm float64
 }
 
-// DefaultConfig returns laptop-scale defaults (paper values: Hidden 512,
-// LR 1e-4). The class count is supplied separately to NewModelOf/TrainCtx.
-func DefaultConfig(layers int) Config {
-	return Config{
-		Layers:       layers,
-		Hidden:       64,
-		Encoding:     64,
-		LR:           5e-3,
-		Epochs:       40,
-		Seed:         1,
-		MaxNeighbors: 0,
-	}
-}
-
 // ModelOf is a trained GraphSAGE attribution model at element type T.
 // Each layer combines a neighbour-mean path (Eq. 3) with a root/self
 // path, as in the reference GraphSAGE implementation the paper builds on

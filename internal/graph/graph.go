@@ -93,11 +93,6 @@ func (t EdgeType) String() string {
 	}
 }
 
-// EdgeTypes returns all edge types in schema order.
-func EdgeTypes() []EdgeType {
-	return []EdgeType{EdgeInReport, EdgeARecord, EdgeInGroup, EdgeResolvesTo, EdgeHostedOn}
-}
-
 // Node is the stored record for a graph node.
 type Node struct {
 	ID   NodeID
@@ -147,16 +142,10 @@ type Graph struct {
 	edgeCount int
 	// kindCount caches node counts per kind.
 	kindCount [numKinds]int
-	// typeCount caches edge counts per type.
-	typeCount [numEdgeTypes]int
 	// csr caches the CSR snapshot returned by CSR(); invalidated by any
 	// mutation (Upsert, AddEdge) so repeated analytics runs share one
 	// frozen copy instead of re-copying adjacency lists per call.
 	csr *sparse.Matrix
-	// version counts structural and record mutations (node created, edge
-	// inserted, node record updated). Reads that pair a Version() with a
-	// CSR() can cheaply detect staleness without pointer identity games.
-	version uint64
 	// dirty accumulates structurally-touched node IDs (created nodes and
 	// endpoints of inserted edges) when tracking is enabled; the streaming
 	// ingest path drains it to seed incremental label propagation.
@@ -193,20 +182,6 @@ func (g *Graph) NumEdges() int {
 	return g.edgeCount
 }
 
-// KindCount returns the number of nodes of kind k.
-func (g *Graph) KindCount(k NodeKind) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.kindCount[k]
-}
-
-// EdgeTypeCount returns the number of edges of type t.
-func (g *Graph) EdgeTypeCount(t EdgeType) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.typeCount[t]
-}
-
 // Upsert returns the ID of the node with the given kind and key, creating
 // it (with Label -1) if absent. The second result reports whether the node
 // was created by this call.
@@ -223,21 +198,10 @@ func (g *Graph) Upsert(kind NodeKind, key string) (NodeID, bool) {
 	g.index[ref] = id
 	g.kindCount[kind]++
 	g.csr = nil
-	g.version++
 	if g.dirty != nil {
 		g.dirty[id] = struct{}{}
 	}
 	return id, true
-}
-
-// Version returns a monotonic mutation counter: it increases on every
-// node creation, edge insertion and UpdateNode call. Consumers holding a
-// CSR() snapshot (or any derived artefact, e.g. a published serving
-// snapshot) can compare versions to detect staleness cheaply.
-func (g *Graph) Version() uint64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.version
 }
 
 // TrackDirty enables (or disables) structural dirty tracking. While
@@ -302,7 +266,6 @@ func (g *Graph) UpdateNode(id NodeID, f func(*Node)) {
 	n := &g.nodes[id]
 	f(n)
 	n.ID = id
-	g.version++
 }
 
 // AddEdge inserts an undirected edge u-(t)->v if it does not already
@@ -324,9 +287,7 @@ func (g *Graph) addEdgeLocked(u, v NodeID, t EdgeType) bool {
 	}
 	g.rows.addEdge(u, v, t)
 	g.edgeCount++
-	g.typeCount[t]++
 	g.csr = nil
-	g.version++
 	if g.dirty != nil {
 		g.dirty[u] = struct{}{}
 		g.dirty[v] = struct{}{}
@@ -339,19 +300,6 @@ func (g *Graph) Degree(id NodeID) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.rows.degree(id)
-}
-
-// Neighbors returns the IDs adjacent to id (both directions), in storage
-// order. The returned slice is freshly allocated.
-func (g *Graph) Neighbors(id NodeID) []NodeID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	row := g.rows.row(id)
-	out := make([]NodeID, len(row))
-	for i, v := range row {
-		out[i] = NodeID(v)
-	}
-	return out
 }
 
 // NeighborEdges calls f for every half edge incident to id. fwd reports

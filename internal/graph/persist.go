@@ -152,9 +152,7 @@ func (g *Graph) ReadFrom(r io.Reader) (int64, error) {
 	g.index = fresh.index
 	g.edgeCount = fresh.edgeCount
 	g.kindCount = fresh.kindCount
-	g.typeCount = fresh.typeCount
 	g.csr = nil
-	g.version++
 	g.mu.Unlock()
 	return cr.n, nil
 }

@@ -71,18 +71,12 @@ type TrialJournal interface {
 	Record(t int, tr Trial) error
 }
 
-// Minimize runs the TPE search and returns the best trial plus the full
-// history.
-func Minimize(obj Objective, space Space, cfg Config) (Trial, []Trial) {
-	best, history, _ := MinimizeResumable(obj, space, cfg, nil)
-	return best, history
-}
-
-// MinimizeResumable is Minimize with crash recovery: completed trials
-// found in the journal skip the objective call (their recorded losses are
-// substituted), while the suggestion computation is replayed so the RNG
-// stream — and therefore every subsequent suggestion — matches the
-// uninterrupted run exactly.
+// MinimizeResumable runs the TPE search and returns the best trial plus
+// the full history. A non-nil journal adds crash recovery: completed
+// trials found in the journal skip the objective call (their recorded
+// losses are substituted), while the suggestion computation is replayed
+// so the RNG stream — and therefore every subsequent suggestion —
+// matches the uninterrupted run exactly.
 func MinimizeResumable(obj Objective, space Space, cfg Config, journal TrialJournal) (Trial, []Trial, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 30

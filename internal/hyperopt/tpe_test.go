@@ -17,7 +17,7 @@ func TestMinimizeQuadratic(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Trials = 60
-	best, history := Minimize(obj, space, cfg)
+	best, history, _ := MinimizeResumable(obj, space, cfg, nil)
 	if len(history) != 60 {
 		t.Fatalf("history %d", len(history))
 	}
@@ -35,9 +35,9 @@ func TestTPEBeatsShortRandomSearch(t *testing.T) {
 		d := p["x"] - 61.8
 		return d * d
 	}
-	tpe, _ := Minimize(obj, space, Config{Trials: 40, Warmup: 10, Gamma: 0.25, Candidates: 24, Seed: 5})
+	tpe, _, _ := MinimizeResumable(obj, space, Config{Trials: 40, Warmup: 10, Gamma: 0.25, Candidates: 24, Seed: 5}, nil)
 	// Pure random search = all-warmup run with the same budget and seed.
-	random, _ := Minimize(obj, space, Config{Trials: 40, Warmup: 40, Gamma: 0.25, Candidates: 24, Seed: 5})
+	random, _, _ := MinimizeResumable(obj, space, Config{Trials: 40, Warmup: 40, Gamma: 0.25, Candidates: 24, Seed: 5}, nil)
 	if tpe.Loss > random.Loss*1.5 {
 		t.Fatalf("TPE (%.3f) much worse than random search (%.3f)", tpe.Loss, random.Loss)
 	}
@@ -59,7 +59,7 @@ func TestIntAndLogDims(t *testing.T) {
 		// Optimum at depth 8, lr 1e-3.
 		return math.Abs(d-8) + math.Abs(math.Log10(p["lr"])+3)
 	}
-	best, _ := Minimize(obj, space, Config{Trials: 50, Warmup: 12, Gamma: 0.25, Candidates: 24, Seed: 2})
+	best, _, _ := MinimizeResumable(obj, space, Config{Trials: 50, Warmup: 12, Gamma: 0.25, Candidates: 24, Seed: 2}, nil)
 	if best.Loss > 4 {
 		t.Fatalf("best loss %.3f", best.Loss)
 	}
@@ -68,8 +68,8 @@ func TestIntAndLogDims(t *testing.T) {
 func TestDeterministicWithSeed(t *testing.T) {
 	space := Space{{Name: "x", Min: 0, Max: 1}}
 	obj := func(p Params) float64 { return p["x"] }
-	a, _ := Minimize(obj, space, Config{Trials: 20, Warmup: 5, Gamma: 0.25, Candidates: 8, Seed: 7})
-	b, _ := Minimize(obj, space, Config{Trials: 20, Warmup: 5, Gamma: 0.25, Candidates: 8, Seed: 7})
+	a, _, _ := MinimizeResumable(obj, space, Config{Trials: 20, Warmup: 5, Gamma: 0.25, Candidates: 8, Seed: 7}, nil)
+	b, _, _ := MinimizeResumable(obj, space, Config{Trials: 20, Warmup: 5, Gamma: 0.25, Candidates: 8, Seed: 7}, nil)
 	if a.Loss != b.Loss || a.Params["x"] != b.Params["x"] {
 		t.Fatal("same seed produced different searches")
 	}
@@ -78,7 +78,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 func TestConfigDefaultsApplied(t *testing.T) {
 	space := Space{{Name: "x", Min: 0, Max: 1}}
 	obj := func(p Params) float64 { return p["x"] }
-	best, history := Minimize(obj, space, Config{})
+	best, history, _ := MinimizeResumable(obj, space, Config{}, nil)
 	if len(history) != 30 {
 		t.Fatalf("default trials not applied: %d", len(history))
 	}

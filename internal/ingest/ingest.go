@@ -609,15 +609,6 @@ func (p *Pipeline) Stats() Stats {
 	}
 }
 
-// DirtyFrontier returns the number of rows the last label-propagation
-// pass recomputed (0 when disabled).
-func (p *Pipeline) DirtyFrontier() int {
-	if p.lp == nil {
-		return 0
-	}
-	return p.lp.LastFrontier
-}
-
 func (p *Pipeline) applyLoop() {
 	defer close(p.applyDone)
 	var flushC, repairC <-chan time.Time

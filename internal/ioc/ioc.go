@@ -6,7 +6,6 @@
 package ioc
 
 import (
-	"fmt"
 	"net/netip"
 	"strings"
 )
@@ -40,31 +39,12 @@ func (t Type) String() string {
 	}
 }
 
-// ParseType parses OTX-style indicator type names (case-insensitive).
-func ParseType(s string) Type {
-	switch strings.ToLower(s) {
-	case "ipv4", "ipv6", "ip":
-		return TypeIP
-	case "url", "uri":
-		return TypeURL
-	case "domain", "hostname":
-		return TypeDomain
-	case "asn":
-		return TypeASN
-	default:
-		return TypeUnknown
-	}
-}
-
 // IOC is one indicator: a type plus its canonical (refanged, lowercase
 // where applicable) string value.
 type IOC struct {
 	Type  Type
 	Value string
 }
-
-// String implements fmt.Stringer.
-func (i IOC) String() string { return fmt.Sprintf("%s(%s)", i.Type, i.Value) }
 
 // Refang reverses the common "defanging" conventions threat reports use
 // to stop indicators being clickable: hxxp:// -> http://, [.] -> ., (.)

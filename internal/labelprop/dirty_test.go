@@ -22,7 +22,7 @@ func randomGrow(rng *rand.Rand, g *graph.Graph, seeds map[graph.NodeID]int, nNod
 	for i := 0; i < nEdges && total > 1; i++ {
 		u := graph.NodeID(rng.Intn(total))
 		v := graph.NodeID(rng.Intn(total))
-		g.AddEdge(u, v, graph.EdgeTypes()[rng.Intn(5)])
+		g.AddEdge(u, v, graph.EdgeType(rng.Intn(5)))
 	}
 	for i := 0; i < nLabels; i++ {
 		seeds[graph.NodeID(rng.Intn(total))] = rng.Intn(classes)

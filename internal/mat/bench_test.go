@@ -100,7 +100,7 @@ func BenchmarkWorkspaceCycle(b *testing.B) {
 		ws.Reset()
 		g := ws.Get(64, 64)
 		d := ws.GetDirty(64, 64)
-		v := ws.Vec(64)
+		v := ws.VecDirty(64)
 		g.Data[0], d.Data[0], v[0] = 1, 2, 3
 	}
 }

@@ -33,7 +33,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 
 	"trail/internal/par"
 )
@@ -114,15 +113,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// FromSlice wraps an existing row-major slice without copying. The slice
-// length must equal rows*cols.
-func FromSlice[T Float](rows, cols int, data []T) *Dense[T] {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("mat: FromSlice length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Dense[T]{Rows: rows, Cols: cols, Data: data}
-}
-
 // Cast returns src converted to element type T. When src is already a
 // *Dense[T] it is returned unchanged (no copy), so the float64 reference
 // path pays nothing; a cross-precision cast allocates a fresh matrix and
@@ -138,17 +128,6 @@ func Cast[T, U Float](src *Dense[U]) *Dense[T] {
 	return out
 }
 
-// CastInto writes src converted to T into dst (shapes must match).
-func CastInto[T, U Float](dst *Dense[T], src *Dense[U]) *Dense[T] {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("mat: CastInto shape mismatch %dx%d vs %dx%d", dst.Rows, dst.Cols, src.Rows, src.Cols))
-	}
-	for i, v := range src.Data {
-		dst.Data[i] = T(v)
-	}
-	return dst
-}
-
 // At returns the element at row i, column j.
 func (m *Dense[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
@@ -157,14 +136,6 @@ func (m *Dense[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view (not a copy) of row i.
 func (m *Dense[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// SetRow copies v into row i. len(v) must equal Cols.
-func (m *Dense[T]) SetRow(i int, v []T) {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("mat: SetRow length %d != %d", len(v), m.Cols))
-	}
-	copy(m.Row(i), v)
-}
 
 // Clone returns a deep copy of m.
 func (m *Dense[T]) Clone() *Dense[T] {
@@ -279,16 +250,6 @@ func MatMulTransAInto[T Float](dst, a, b *Dense[T]) {
 	k.put()
 }
 
-// Add returns a+b element-wise.
-func Add[T Float](a, b *Dense[T]) *Dense[T] {
-	checkSameShape("Add", a, b)
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out
-}
-
 // AddInPlace adds b into a element-wise and returns a.
 func AddInPlace[T Float](a, b *Dense[T]) *Dense[T] {
 	checkSameShape("AddInPlace", a, b)
@@ -338,16 +299,6 @@ func (m *Dense[T]) AddRowVector(v []T) *Dense[T] {
 			row[j] += x
 		}
 	}
-	return m
-}
-
-// Apply replaces every element x with f(x) in place and returns m.
-func (m *Dense[T]) Apply(f func(T) T) *Dense[T] {
-	parRows(len(m.Data), 4, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m.Data[i] = f(m.Data[i])
-		}
-	})
 	return m
 }
 
@@ -402,64 +353,6 @@ func (m *Dense[T]) SelectRows(idx []int) *Dense[T] {
 		copy(out.Row(i), m.Row(r))
 	}
 	return out
-}
-
-// HStack concatenates matrices horizontally (they must agree on Rows).
-func HStack[T Float](ms ...*Dense[T]) *Dense[T] {
-	if len(ms) == 0 {
-		return NewOf[T](0, 0)
-	}
-	rows := ms[0].Rows
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic(fmt.Sprintf("mat: HStack row mismatch %d vs %d", m.Rows, rows))
-		}
-		cols += m.Cols
-	}
-	out := NewOf[T](rows, cols)
-	for i := 0; i < rows; i++ {
-		dst := out.Row(i)
-		off := 0
-		for _, m := range ms {
-			copy(dst[off:off+m.Cols], m.Row(i))
-			off += m.Cols
-		}
-	}
-	return out
-}
-
-// VStack concatenates matrices vertically (they must agree on Cols).
-func VStack[T Float](ms ...*Dense[T]) *Dense[T] {
-	if len(ms) == 0 {
-		return NewOf[T](0, 0)
-	}
-	cols := ms[0].Cols
-	rows := 0
-	for _, m := range ms {
-		if m.Cols != cols {
-			panic(fmt.Sprintf("mat: VStack col mismatch %d vs %d", m.Cols, cols))
-		}
-		rows += m.Rows
-	}
-	out := NewOf[T](rows, cols)
-	off := 0
-	for _, m := range ms {
-		copy(out.Data[off:off+len(m.Data)], m.Data)
-		off += len(m.Data)
-	}
-	return out
-}
-
-// MaxAbs returns the largest absolute element value in m (0 for empty).
-func (m *Dense[T]) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(float64(v)); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 func checkSameShape[T Float](op string, a, b *Dense[T]) {

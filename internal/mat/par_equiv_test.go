@@ -1,7 +1,6 @@
 package mat_test
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -45,11 +44,6 @@ func TestDenseKernelsSerialParallelBitIdentical(t *testing.T) {
 
 	s, p = runBoth(func() *mat.Matrix { return c.Clone().L2NormalizeRows() })
 	mattest.BitEqual(t, "L2NormalizeRows", s, p)
-
-	s, p = runBoth(func() *mat.Matrix {
-		return c.Clone().Apply(func(x float64) float64 { return math.Tanh(x) })
-	})
-	mattest.BitEqual(t, "Apply", s, p)
 }
 
 // TestDenseKernelsFloat32SerialParallelBitIdentical is the same

@@ -207,21 +207,13 @@ func (w *WorkspaceOf[T]) get(rows, cols int, zero bool) *Dense[T] {
 	return m
 }
 
-// Vec returns a zeroed length-n scratch slice under the same cursor
-// discipline as Get.
-func (w *WorkspaceOf[T]) Vec(n int) []T { return w.vec(n, true) }
-
-// VecDirty is Vec without the zeroing, for slices whose first consumer
-// writes every element.
-func (w *WorkspaceOf[T]) VecDirty(n int) []T { return w.vec(n, false) }
-
-func (w *WorkspaceOf[T]) vec(n int, zero bool) []T {
+// VecDirty returns a length-n scratch slice under the same cursor
+// discipline as Get, without zeroing a re-borrowed slice: its first
+// consumer must write every element.
+func (w *WorkspaceOf[T]) VecDirty(n int) []T {
 	if w.vnext < len(w.vecs) && cap(w.vecs[w.vnext]) >= n && w.pool != nil {
 		v := w.vecs[w.vnext][:n]
 		w.vnext++
-		if zero {
-			clear(v)
-		}
 		return v
 	}
 	v := make([]T, n)

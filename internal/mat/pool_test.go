@@ -186,11 +186,6 @@ func TestWorkspaceVecDirty(t *testing.T) {
 	if &v2[0] != &v[0] || v2[0] != 5 {
 		t.Fatalf("VecDirty should re-borrow the same storage unzeroed")
 	}
-	w.Reset()
-	v3 := w.Vec(4)
-	if &v3[0] != &v[0] || v3[0] != 0 {
-		t.Fatalf("Vec should re-borrow the same storage zeroed")
-	}
 }
 
 func TestWorkspaceReleaseReturnsToPool(t *testing.T) {
@@ -245,7 +240,7 @@ func TestWorkspaceSteadyStateZeroAllocs(t *testing.T) {
 		w.Reset()
 		a := w.Get(8, 8)
 		b := w.GetDirty(8, 4)
-		v := w.Vec(16)
+		v := w.VecDirty(16)
 		a.Data[0], b.Data[0], v[0] = 1, 2, 3
 	}
 	iter() // warm the slots

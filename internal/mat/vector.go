@@ -129,24 +129,3 @@ func SoftmaxRows[T Float](m *Dense[T]) *Dense[T] {
 	}
 	return m
 }
-
-// OneHot returns a length-n vector with a 1 at index k (all zeros if k is
-// out of range).
-func OneHot(n, k int) []float64 {
-	v := make([]float64, n)
-	if k >= 0 && k < n {
-		v[k] = 1
-	}
-	return v
-}
-
-// Clamp limits x to the interval [lo, hi].
-func Clamp[T Float](x, lo, hi T) T {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

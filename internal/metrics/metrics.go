@@ -299,9 +299,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) *GaugeFunc {
 	return g
 }
 
-// Value invokes the callback.
-func (g *GaugeFunc) Value() float64 { return g.fn() }
-
 func (g *GaugeFunc) name() string { return g.nm }
 
 func (g *GaugeFunc) render(w io.Writer) {
@@ -325,27 +322,6 @@ type Histogram struct {
 // DefBuckets is the default latency ladder, in seconds: 0.5ms to 5s.
 func DefBuckets() []float64 {
 	return []float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5}
-}
-
-// LinearBuckets returns count buckets starting at start, stepping by width.
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns count buckets starting at start, each factor
-// times the previous.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	out := make([]float64, count)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
 }
 
 // Histogram registers and returns a histogram with the given upper
@@ -389,33 +365,6 @@ func (h *Histogram) Count() uint64 { return h.total.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile returns an estimate of the q-quantile (0 < q <= 1) by linear
-// interpolation within the owning bucket — the same estimate a PromQL
-// histogram_quantile would compute. Returns NaN with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.total.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	cum := uint64(0)
-	lower := 0.0
-	for i, bound := range h.bounds {
-		c := h.counts[i].Load()
-		if float64(cum+c) >= rank {
-			if c == 0 {
-				return bound
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			return lower + frac*(bound-lower)
-		}
-		cum += c
-		lower = bound
-	}
-	// Overflow bucket: no finite upper bound, report the last finite one.
-	return h.bounds[len(h.bounds)-1]
-}
 
 func (h *Histogram) name() string { return h.nm }
 

@@ -41,19 +41,6 @@ func CheckLoss(epoch int, loss float64) error {
 	return nil
 }
 
-// CheckGrads scans every accumulated gradient for NaN or Inf.
-func CheckGrads[T mat.Float](epoch int, params []*ParamOf[T]) error {
-	for _, p := range params {
-		for _, g := range p.G.Data {
-			gf := float64(g)
-			if math.IsNaN(gf) || math.IsInf(gf, 0) {
-				return &DivergenceError{Quantity: "gradient", Epoch: epoch, Value: gf}
-			}
-		}
-	}
-	return nil
-}
-
 // GradNorm returns the global L2 norm over every accumulated gradient.
 // The sum of squares is one serial chain in parameter-then-element order:
 // that chain is the defining grouping ClipGrads scales by, so it must not

@@ -268,7 +268,7 @@ func (a *AdamOf[T]) Step() {
 // --- Network -----------------------------------------------------------------
 
 // NNConfig configures the feed-forward classifier. The zero value is not
-// usable; start from DefaultNNConfig or PaperNNConfig.
+// usable; start from DefaultNNConfig.
 type NNConfig struct {
 	// Hidden lists the hidden layer widths.
 	Hidden []int
@@ -288,25 +288,10 @@ type NNConfig struct {
 	Quiet bool
 }
 
-// PaperNNConfig is the architecture of §VI-A: 2048-1024-512-128-64 hidden
-// units, ReLU + batch-norm between layers, 50% dropout in the first three
-// hidden layers. It is expensive in pure Go; the experiment harness uses
-// DefaultNNConfig unless told otherwise.
-func PaperNNConfig() NNConfig {
-	return NNConfig{
-		Hidden:        []int{2048, 1024, 512, 128, 64},
-		DropoutRate:   0.5,
-		DropoutLayers: 3,
-		LR:            1e-3,
-		Epochs:        30,
-		BatchSize:     64,
-		Seed:          1,
-	}
-}
-
-// DefaultNNConfig is a scaled-down architecture with the same shape
-// (wide→narrow, batch-norm, front-loaded dropout) that trains quickly on
-// the synthetic datasets.
+// DefaultNNConfig is a scaled-down version of the §VI-A architecture
+// (2048-1024-512-128-64 hidden units, 50% dropout in the first three):
+// the same shape (wide→narrow, batch-norm, front-loaded dropout), sized
+// to train quickly on the synthetic datasets.
 func DefaultNNConfig() NNConfig {
 	return NNConfig{
 		Hidden:        []int{256, 128, 64},

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"trail/internal/mat"
 )
 
 // ClassReport holds per-class precision, recall and F1.
@@ -60,22 +58,6 @@ func ClassificationReport(truth, pred []int, classes int) []ClassReport {
 	return out
 }
 
-// MacroF1 averages F1 over classes with support.
-func MacroF1(truth, pred []int, classes int) float64 {
-	reports := ClassificationReport(truth, pred, classes)
-	sum, n := 0.0, 0
-	for _, r := range reports {
-		if r.Support > 0 {
-			sum += r.F1
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // RenderReport formats a classification report with class names.
 func RenderReport(reports []ClassReport, names []string) string {
 	var b strings.Builder
@@ -89,37 +71,4 @@ func RenderReport(reports []ClassReport, names []string) string {
 			trunc(name, 11), r.Precision, r.Recall, r.F1, r.Support)
 	}
 	return b.String()
-}
-
-// TopKAccuracy returns the fraction of rows whose true class is among the
-// k highest-probability predictions. Useful for the analyst-facing view:
-// "the right group is in the model's top 3" is actionable even when the
-// argmax is wrong.
-func TopKAccuracy(probs *mat.Matrix, truth []int, k int) float64 {
-	if probs.Rows == 0 || probs.Rows != len(truth) {
-		return 0
-	}
-	if k < 1 {
-		k = 1
-	}
-	hit := 0
-	idx := make([]int, probs.Cols)
-	for i := 0; i < probs.Rows; i++ {
-		row := probs.Row(i)
-		for j := range idx {
-			idx[j] = j
-		}
-		sort.Slice(idx, func(a, b int) bool { return row[idx[a]] > row[idx[b]] })
-		limit := k
-		if limit > len(idx) {
-			limit = len(idx)
-		}
-		for _, c := range idx[:limit] {
-			if c == truth[i] {
-				hit++
-				break
-			}
-		}
-	}
-	return float64(hit) / float64(probs.Rows)
 }

@@ -176,15 +176,6 @@ func TestDivergenceDetection(t *testing.T) {
 	if err := CheckLoss(0, 0.5); err != nil {
 		t.Fatalf("finite loss rejected: %v", err)
 	}
-	p := []*ParamOf[float64]{{W: mat.NewOf[float64](1, 2), G: mat.NewOf[float64](1, 2)}}
-	p[0].G.Data[1] = math.Inf(-1)
-	if err := CheckGrads(7, p); err == nil {
-		t.Fatal("Inf gradient accepted")
-	}
-	p[0].G.Data[1] = 1
-	if err := CheckGrads(7, p); err != nil {
-		t.Fatalf("finite gradient rejected: %v", err)
-	}
 }
 
 // TestNNFitDivergenceTyped: an absurd learning rate must surface as a

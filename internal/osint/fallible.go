@@ -11,9 +11,9 @@ import (
 // doesn't — which matches the synthetic World but not real OSINT
 // providers, which time out, throttle, and go down. FallibleServices is
 // the context-aware, error-returning variant the resilience middleware
-// (resilience.go) and the fault injector (chaos.go) speak; adapters
-// convert in both directions so the rest of the system can consume
-// whichever shape it prefers.
+// (resilience.go) and the fault injector (chaos.go) speak. Infallible
+// lifts a plain Services into it; the TKG builder lowers it back to
+// Services itself, counting every error as it does.
 
 // ProviderKind identifies the upstream enrichment provider class. The
 // circuit breaker and the metrics are tracked per kind: the paper's
@@ -107,8 +107,8 @@ type FallibleServices interface {
 }
 
 // Infallible adapts a plain Services into a FallibleServices that never
-// fails (beyond ctx cancellation). The synthetic World and the cache
-// layers enter the resilience stack through this adapter.
+// fails (beyond ctx cancellation). The synthetic World enters the
+// resilience stack through this adapter.
 func Infallible(s Services) FallibleServices { return infallible{s} }
 
 type infallible struct{ s Services }
@@ -143,41 +143,4 @@ func (a infallible) ProbeURL(ctx context.Context, url string) (URLRecord, bool, 
 	}
 	rec, ok := a.s.ProbeURL(url)
 	return rec, ok, nil
-}
-
-// DropErrors adapts a FallibleServices back into a plain Services by
-// mapping every error to "no data" under the given context. Consumers
-// that need to distinguish outages from genuine misses (the TKG builder's
-// degradation accounting does) should wrap the FallibleServices
-// themselves rather than use this adapter.
-func DropErrors(ctx context.Context, f FallibleServices) Services {
-	return dropErrors{ctx: ctx, f: f}
-}
-
-type dropErrors struct {
-	ctx context.Context
-	f   FallibleServices
-}
-
-func (a dropErrors) LookupIP(addr string) (IPRecord, bool) {
-	rec, ok, err := a.f.LookupIP(a.ctx, addr)
-	return rec, ok && err == nil
-}
-
-func (a dropErrors) PassiveDNSDomain(name string) (DomainRecord, bool) {
-	rec, ok, err := a.f.PassiveDNSDomain(a.ctx, name)
-	return rec, ok && err == nil
-}
-
-func (a dropErrors) PassiveDNSIP(addr string) ([]string, bool) {
-	doms, ok, err := a.f.PassiveDNSIP(a.ctx, addr)
-	if err != nil {
-		return nil, false
-	}
-	return doms, ok
-}
-
-func (a dropErrors) ProbeURL(url string) (URLRecord, bool) {
-	rec, ok, err := a.f.ProbeURL(a.ctx, url)
-	return rec, ok && err == nil
 }

@@ -12,6 +12,20 @@ func testWorld(t testing.TB) *World {
 	return NewWorld(TestConfig())
 }
 
+// collectIPs returns the canonical IP indicators of every pulse in w.
+func collectIPs(w *World) map[string]bool {
+	out := map[string]bool{}
+	for _, p := range w.Pulses() {
+		for _, ind := range p.Indicators {
+			// Indicators may be defanged on the wire; canonicalise.
+			if item, ok := ioc.Classify(ind.Indicator); ok && item.Type == ioc.TypeIP {
+				out[item.Value] = true
+			}
+		}
+	}
+	return out
+}
+
 func TestWorldDeterministic(t *testing.T) {
 	a := NewWorld(TestConfig())
 	b := NewWorld(TestConfig())

@@ -14,9 +14,6 @@ type Window struct {
 	Lo, Hi int
 }
 
-// Months returns the number of months the window spans.
-func (w Window) Months() int { return w.Hi - w.Lo }
-
 // PartitionWindows cuts months [0, len(counts)) into at most n contiguous
 // windows whose per-window totals (sum of counts) are as balanced as a
 // greedy left-to-right cut allows. Every returned window is non-empty in

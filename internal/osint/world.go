@@ -54,7 +54,6 @@ type ipState struct {
 
 type domainState struct {
 	rec   DomainRecord
-	owner apt.ID // -1 for benign secondary domains
 	month int
 }
 
@@ -496,7 +495,6 @@ func (w *World) newGroupDomain(gs *groupState, month int) string {
 			NXDomain:  w.rng.Float64() < 0.35,
 			Registrar: w.headBiased(w.issuers, 24),
 		},
-		owner: p.ID,
 		month: month,
 	}
 	st.rec.Counts = DNSRecordCounts{
@@ -630,7 +628,6 @@ func (w *World) attachBenignDomains(ip *ipState, n int, month int) {
 					A: 1, NS: 2, SOA: 1, MX: w.rng.Intn(2), TXT: w.rng.Intn(2),
 				},
 			},
-			owner: apt.Unknown,
 			month: month,
 		}
 		w.domains[name] = st
@@ -799,13 +796,4 @@ func (w *World) ProbeURL(url string) (URLRecord, bool) {
 	rec.Services = append([]string(nil), st.rec.Services...)
 	rec.ResolvesTo = append([]string(nil), st.rec.ResolvesTo...)
 	return rec, true
-}
-
-// TrueOwnerDomain reports the generating APT of a domain (ground truth
-// for diagnostics; the TRAIL pipeline itself never calls this).
-func (w *World) TrueOwnerDomain(name string) apt.ID {
-	if st, ok := w.domains[name]; ok {
-		return st.owner
-	}
-	return apt.Unknown
 }

@@ -607,10 +607,3 @@ func (b *builder) notePeak() {
 	}
 	b.peakMu.Unlock()
 }
-
-// PeakHeap reports the highest heap sample seen (exposed for benchmarks).
-func (b *builder) PeakHeap() uint64 {
-	b.peakMu.Lock()
-	defer b.peakMu.Unlock()
-	return b.peakHeap
-}

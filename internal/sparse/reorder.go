@@ -93,25 +93,6 @@ func ScatterRowsInto[T mat.Float](p *Permutation, dst, src *mat.Dense[T]) *mat.D
 	return dst
 }
 
-// GatherInts returns src reindexed into permuted space:
-// out[new] = src[Perm[new]].
-func (p *Permutation) GatherInts(src []int) []int {
-	out := make([]int, len(p.Perm))
-	for n, o := range p.Perm {
-		out[n] = src[int(o)]
-	}
-	return out
-}
-
-// GatherBools is GatherInts for a bool vector.
-func (p *Permutation) GatherBools(src []bool) []bool {
-	out := make([]bool, len(p.Perm))
-	for n, o := range p.Perm {
-		out[n] = src[int(o)]
-	}
-	return out
-}
-
 // DegreePermutation returns the degree-descending relabelling of s's
 // rows (ties keep their original relative order, so the result is
 // deterministic). The receiver must be square.

@@ -125,17 +125,3 @@ func TestReorderedGating(t *testing.T) {
 		t.Fatalf("reordered degrees not descending: %v", deg)
 	}
 }
-
-// TestGatherScatterVectors covers the label/mask helpers used by the
-// reordered labelprop and GNN inference paths.
-func TestGatherScatterVectors(t *testing.T) {
-	p := NewPermutation([]int32{2, 0, 1})
-	ints := p.GatherInts([]int{10, 11, 12})
-	if ints[0] != 12 || ints[1] != 10 || ints[2] != 11 {
-		t.Fatalf("GatherInts wrong: %v", ints)
-	}
-	bools := p.GatherBools([]bool{true, false, true})
-	if !bools[0] || bools[1] != true || bools[2] {
-		t.Fatalf("GatherBools wrong: %v", bools)
-	}
-}
