@@ -68,9 +68,12 @@ bench-harness:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # smoke builds and runs the quickstart example end to end — the fastest
-# whole-pipeline sanity check (graph build, encoders, LP, SAGE, eval).
+# whole-pipeline sanity check (graph build, encoders, LP, SAGE, eval) —
+# then the explainability example, which drives the Fig. 9 SHAP and
+# Fig. 10 GNNExplainer experiments through their public entry points.
 smoke:
 	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/explainability
 
 # serve-smoke is the serving-layer gate: train a 1-epoch model on the
 # tiny world, start `trail serve`, exercise every endpoint (attribute,

@@ -187,10 +187,9 @@ func BenchmarkFigure8_Drift(b *testing.B) {
 func BenchmarkFigure9_SHAP(b *testing.B) {
 	b.ReportAllocs()
 	ctx := fastContext(b)
-	cfg := eval.DefaultFigure9Config()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eval.RunFigure9(ctx, cfg)
+		res, err := eval.RunFigure9(ctx, "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +204,7 @@ func BenchmarkFigure10_GNNExplainer(b *testing.B) {
 	ctx := fastContext(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eval.RunFigure10(ctx, "", 15)
+		res, err := eval.RunFigure10(ctx, "")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -62,18 +62,7 @@ func cmdIngest(args []string) error {
 	// chaos injection exercises the degradation + repair path.
 	var stack osint.FallibleServices
 	if *chaos > 0 || *transient > 0 {
-		clock := osint.NewManualClock(time.Unix(0, 0)).AutoAdvance(time.Millisecond)
-		cc := osint.ChaosConfig{
-			Seed:                    cfg.Seed,
-			PermanentRate:           *chaos,
-			TransientRate:           *transient,
-			MaxConsecutiveTransient: 3,
-			Clock:                   clock,
-		}
-		rcfg := osint.DefaultResilienceConfig()
-		rcfg.Clock = clock
-		rcfg.MaxAttempts = 5
-		stack = osint.NewResilientServices(osint.NewChaosServices(w, cc), rcfg)
+		stack = osint.NewChaosStack(w, cfg.Seed, *chaos, *transient)
 	} else {
 		stack = osint.NewResilientServices(osint.Infallible(w), osint.DefaultResilienceConfig())
 	}

@@ -13,7 +13,6 @@
 //	trail serve       [-seed N] [-dir ckpt] [-addr HOST:PORT] [-max-batch N] [-max-wait D]
 //	trail ingest      [-seed N] [-dir state] [-feed pulses.ndjson] [-addr HOST:PORT] [-model-dir ckpt]
 //	trail loadgen     [-url URL] [-c N] [-duration D] [-out report.json]
-//	trail casestudy   [-seed N] [-fast]
 //	trail experiments [-seed N] [-fast] [-only table2,fig4,...] [-resume DIR] [-md EXPERIMENTS.md]
 //	trail help [command]
 package main
@@ -29,7 +28,6 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"trail/internal/core"
 	"trail/internal/eval"
@@ -59,7 +57,6 @@ var commands = []command{
 	{"serve", "serve attribution over HTTP from a training checkpoint directory", cmdServe},
 	{"ingest", "stream pulses through the crash-safe WAL pipeline into live snapshots", cmdIngest},
 	{"loadgen", "hammer a running serve daemon and report latency percentiles", cmdLoadgen},
-	{"casestudy", "attribute a never-seen event (paper §VII-C)", cmdCaseStudy},
 	{"experiments", "run every table/figure of the evaluation", cmdExperiments},
 }
 
@@ -140,26 +137,6 @@ func cmdWorld(args []string) error {
 	return osint.EncodePulses(dst, w.PulsesInMonths(*from, cfg.Months))
 }
 
-// chaosStack wires the fault-tolerant enrichment demo: world -> chaos
-// injector -> retry/breaker middleware, on a manual clock so backoff
-// costs nothing. The stack's behaviour is a pure function of seed, which
-// is what lets the sharded build hand each shard its own deterministic
-// copy.
-func chaosStack(w *osint.World, seed int64, permanent, transient float64) osint.FallibleServices {
-	clock := osint.NewManualClock(time.Unix(0, 0)).AutoAdvance(time.Millisecond)
-	cc := osint.ChaosConfig{
-		Seed:                    seed,
-		PermanentRate:           permanent,
-		TransientRate:           transient,
-		MaxConsecutiveTransient: 3,
-		Clock:                   clock,
-	}
-	rcfg := osint.DefaultResilienceConfig()
-	rcfg.Clock = clock
-	rcfg.MaxAttempts = 5
-	return osint.NewResilientServices(osint.NewChaosServices(w, cc), rcfg)
-}
-
 func cmdBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	cfg := worldFlags(fs)
@@ -192,7 +169,7 @@ func cmdBuild(args []string) error {
 			// index, so the enrichment faults a shard sees are independent
 			// of which worker ran it or how many attempts came before.
 			scfg.Services = func(i int) osint.FallibleServices {
-				return chaosStack(w, cfg.Seed+int64(i+1), *chaos, *transient)
+				return osint.NewChaosStack(w, cfg.Seed+int64(i+1), *chaos, *transient)
 			}
 		}
 		if *shardChaos > 0 {
@@ -221,7 +198,7 @@ func cmdBuild(args []string) error {
 
 	var tkg *core.TKG
 	if *chaos > 0 || *transient > 0 {
-		tkg = core.NewTKGFallible(chaosStack(w, cfg.Seed, *chaos, *transient), w.Resolver(), core.DefaultBuildConfig())
+		tkg = core.NewTKGFallible(osint.NewChaosStack(w, cfg.Seed, *chaos, *transient), w.Resolver(), core.DefaultBuildConfig())
 	} else {
 		tkg = core.NewTKG(w, w.Resolver(), core.DefaultBuildConfig())
 	}
@@ -346,11 +323,6 @@ func cmdTrain(args []string) error {
 	}
 
 	// Phase 1: per-IOC-kind autoencoders, resumable at kind granularity.
-	aeCfg := gnn.DefaultAEConfig()
-	if *fast {
-		aeCfg.Epochs = 2
-		aeCfg.Hidden = 32
-	}
 	encOpts := gnn.EncoderTrainOpts{
 		Checkpoint: func(partial *gnn.EncoderSet) error {
 			return gnn.SaveEncoders(encPath, partial)
@@ -364,7 +336,7 @@ func cmdTrain(args []string) error {
 			return fmt.Errorf("encoder checkpoint unusable: %w", err)
 		}
 	}
-	set, err := gnn.TrainEncodersCtx(ctx, ectx.TKG.G, ectx.TKG.Features, aeCfg, encOpts)
+	set, err := gnn.TrainEncodersCtx(ctx, ectx.TKG.G, ectx.TKG.Features, ectx.AEConfig(), encOpts)
 	if errors.Is(err, context.Canceled) {
 		return interrupted()
 	}
@@ -378,13 +350,8 @@ func cmdTrain(args []string) error {
 
 	// Phase 2: the GraphSAGE classifier, resumable at epoch granularity.
 	in := gnn.BuildInput(ectx.TKG.G, ectx.TKG.Features, set, ectx.Classes)
-	gcfg := gnn.Config{
-		Layers: *layers, Hidden: 64, Encoding: aeCfg.Encoding,
-		LR: 1e-2, Epochs: *epochs, Seed: opts.Seed,
-	}
-	if *fast {
-		gcfg.Hidden = 16
-	}
+	gcfg := ectx.GNNConfig(*layers)
+	gcfg.Epochs = *epochs // the flag wins, in Fast mode too
 	tOpts := gnn.TrainOpts{
 		Ctx:             ctx,
 		CheckpointEvery: *every,
@@ -444,27 +411,6 @@ func cmdStats(args []string) error {
 	for _, n := range eval.MostReusedIOCs(ctx, 8) {
 		fmt.Printf("  %-7s %-40s in %d events\n", n.Kind, n.Key, n.EventCount)
 	}
-	return nil
-}
-
-func cmdCaseStudy(args []string) error {
-	fs := flag.NewFlagSet("casestudy", flag.ExitOnError)
-	cfg := worldFlags(fs)
-	fast := fs.Bool("fast", false, "small models for a quick run")
-	fs.Parse(args)
-
-	opts := eval.DefaultOptions()
-	opts.World = *cfg
-	opts.Fast = *fast
-	ctx, err := eval.NewContext(opts)
-	if err != nil {
-		return err
-	}
-	res, err := eval.RunCaseStudy(ctx)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Render())
 	return nil
 }
 
@@ -578,7 +524,7 @@ func cmdExperiments(args []string) error {
 				res.MeanGapLastMonths(2)))
 	}
 	if run("fig9") {
-		res, err := eval.RunFigure9(ctx, eval.DefaultFigure9Config())
+		res, err := eval.RunFigure9(ctx, "")
 		if err != nil {
 			return err
 		}
@@ -586,7 +532,7 @@ func cmdExperiments(args []string) error {
 			"behavioural features (server stack, encoding, lexical style) top the ranking.")
 	}
 	if run("fig10") {
-		res, err := eval.RunFigure10(ctx, "", 15)
+		res, err := eval.RunFigure10(ctx, "")
 		if err != nil {
 			return err
 		}

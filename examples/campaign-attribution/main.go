@@ -42,7 +42,7 @@ func main() {
 	fmt.Printf("base TKG: %d nodes, %d events\n", tkg.G.NumNodes(), len(tkg.EventNodes()))
 
 	// Train the models on the base TKG.
-	rfModel, rfScaler := trainIOCForest(tkg, classes)
+	rfModel, rfScaler := trainIOCForest(tkg)
 	set, err := gnn.TrainEncodersCtx(context.Background(), tkg.G, tkg.Features, gnn.DefaultAEConfig(), gnn.EncoderTrainOpts{})
 	if err != nil {
 		log.Fatal(err)
@@ -96,7 +96,7 @@ func main() {
 
 // trainIOCForest fits one Random Forest on the domain IOCs (the most
 // numerous kind) for the per-IOC voting baseline.
-func trainIOCForest(tkg *core.TKG, classes int) (*tree.Forest, *ml.StandardScaler) {
+func trainIOCForest(tkg *core.TKG) (*tree.Forest, *ml.StandardScaler) {
 	ids, labels := tkg.LabeledIOCs(graph.KindDomain)
 	var rows [][]float64
 	var y []int
@@ -112,7 +112,6 @@ func trainIOCForest(tkg *core.TKG, classes int) (*tree.Forest, *ml.StandardScale
 	if err := rf.Fit(scaler.Transform(X), y); err != nil {
 		log.Fatal(err)
 	}
-	_ = classes
 	return rf, scaler
 }
 

@@ -33,8 +33,8 @@ func main() {
 	}
 
 	fmt.Println("=== Feature-level explanation (SHAP on the XGB URL classifier) ===")
-	cfg := eval.DefaultFigure9Config()
-	fig9, err := eval.RunFigure9(ctx, cfg)
+	const apt = "APT28"
+	fig9, err := eval.RunFigure9(ctx, apt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func main() {
 	fmt.Println("high values of the feature push the classifier toward the group.")
 
 	fmt.Println("\n=== Graph-level explanation (GNNExplainer on a 3-layer GNN) ===")
-	fig10, err := eval.RunFigure10(ctx, cfg.APTName, 15)
+	fig10, err := eval.RunFigure10(ctx, apt)
 	if err != nil {
 		log.Fatal(err)
 	}

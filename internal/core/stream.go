@@ -91,7 +91,7 @@ func (t *TKG) RepairDegraded(ctx context.Context, max int) (repaired, attempted 
 }
 
 // iocOf reconstructs the IOC behind a node record — the inverse of
-// kindOf for the feature-bearing kinds.
+// KindOf for the feature-bearing kinds.
 func iocOf(n graph.Node) (ioc.IOC, bool) {
 	switch n.Kind {
 	case graph.KindIP:

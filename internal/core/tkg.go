@@ -250,7 +250,7 @@ func (t *TKG) AddPulse(p osint.Pulse) (graph.NodeID, error) {
 	var queue []pending
 
 	touch := func(i ioc.IOC, hop int) (graph.NodeID, bool) {
-		kind, ok := kindOf(i.Type)
+		kind, ok := KindOf(i.Type)
 		if !ok {
 			return 0, false
 		}
@@ -462,7 +462,9 @@ func (t *TKG) LabeledIOCs(kind graph.NodeKind) (ids []graph.NodeID, labels []int
 	return ids, labels
 }
 
-func kindOf(t ioc.Type) (graph.NodeKind, bool) {
+// KindOf maps an IOC type to the kind of node that carries it in the
+// graph; ok is false for types the TKG does not model.
+func KindOf(t ioc.Type) (graph.NodeKind, bool) {
 	switch t {
 	case ioc.TypeIP:
 		return graph.KindIP, true

@@ -7,7 +7,6 @@ import (
 	"trail/internal/core"
 	"trail/internal/gnn"
 	"trail/internal/graph"
-	"trail/internal/labelprop"
 	"trail/internal/ml"
 )
 
@@ -47,8 +46,8 @@ func RunAblationEnrichmentDepth(ctx *Context) (*AblationRow, error) {
 	if _, err := shallow.Build(ctx.World.PulsesInMonths(0, ctx.TrainMonths)); err != nil {
 		return nil, err
 	}
-	full := ctx.lpAccuracy(ctx.TKG, 3)
-	none := ctx.lpAccuracy(shallow, 3)
+	full := ctx.lpAccuracy(ctx.TKG)
+	none := ctx.lpAccuracy(shallow)
 	return &AblationRow{
 		Name:     "enrichment depth",
 		VariantA: "2-hop enrichment", AccA: full,
@@ -56,31 +55,9 @@ func RunAblationEnrichmentDepth(ctx *Context) (*AblationRow, error) {
 	}, nil
 }
 
-// lpAccuracy runs the LP fold protocol on one TKG at the given depth.
-func (c *Context) lpAccuracy(tkg *core.TKG, layers int) float64 {
-	events := tkg.EventNodes()
-	labels := make([]int, len(events))
-	for i, ev := range events {
-		labels[i] = tkg.G.Node(ev).Label
-	}
-	folds := ml.StratifiedKFold(c.rng(600), labels, c.Opts.Folds)
-	csr := tkg.G.CSR()
-	var accs []float64
-	for _, test := range folds {
-		train := ml.Complement(len(events), test)
-		seeds := make(map[graph.NodeID]int, len(train))
-		for _, ti := range train {
-			seeds[events[ti]] = labels[ti]
-		}
-		queries := make([]graph.NodeID, len(test))
-		truth := make([]int, len(test))
-		for i, te := range test {
-			queries[i] = events[te]
-			truth[i] = labels[te]
-		}
-		pred := labelprop.AttributeCSR(csr, seeds, queries, c.Classes, layers)
-		accs = append(accs, ml.Accuracy(truth, pred))
-	}
+// lpAccuracy is the mean k-fold accuracy of LP 3L on one TKG.
+func (c *Context) lpAccuracy(tkg *core.TKG) float64 {
+	accs, _ := c.lpSplits(tkg, c.kfold(tkg, 600), 3)
 	return ml.Summarize(accs).Mean
 }
 
@@ -92,11 +69,11 @@ func RunAblationEncoder(ctx *Context) (*AblationRow, error) {
 		return nil, err
 	}
 	random := gnn.RandomEncodersOf[float64](ctx.TKG.G, ctx.TKG.Features, trained.Config)
-	accT, err := ctx.gnnHoldoutAccuracy(trained, gnn.Config{})
+	accT, err := ctx.gnnHoldoutAccuracy(trained, false)
 	if err != nil {
 		return nil, err
 	}
-	accR, err := ctx.gnnHoldoutAccuracy(random, gnn.Config{})
+	accR, err := ctx.gnnHoldoutAccuracy(random, false)
 	if err != nil {
 		return nil, err
 	}
@@ -113,11 +90,11 @@ func RunAblationL2Norm(ctx *Context) (*AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	accOn, err := ctx.gnnHoldoutAccuracy(set, gnn.Config{})
+	accOn, err := ctx.gnnHoldoutAccuracy(set, false)
 	if err != nil {
 		return nil, err
 	}
-	accOff, err := ctx.gnnHoldoutAccuracy(set, gnn.Config{NoL2: true})
+	accOff, err := ctx.gnnHoldoutAccuracy(set, true)
 	if err != nil {
 		return nil, err
 	}
@@ -128,39 +105,47 @@ func RunAblationL2Norm(ctx *Context) (*AblationRow, error) {
 	}, nil
 }
 
-// gnnHoldoutAccuracy trains a 2-layer GNN on an 80/20 split and returns
-// holdout accuracy; overrides taken from tmpl (zero values ignored).
-func (c *Context) gnnHoldoutAccuracy(set *gnn.EncoderSet, tmpl gnn.Config) (float64, error) {
+// gnnHoldoutAccuracy trains a 2-layer GNN with 48 hidden units (16 in
+// Fast mode) on the 80/20 holdout and returns its holdout accuracy;
+// noL2 turns off the Eq. 4 normalisation.
+func (c *Context) gnnHoldoutAccuracy(set *gnn.EncoderSet, noL2 bool) (float64, error) {
 	in := gnn.BuildInput(c.TKG.G, c.TKG.Features, set, c.Classes)
-	events, labels := c.eventLabels()
-	idx := c.rng(700).Perm(len(events))
-	cut := len(events) * 4 / 5
-	var train, test []graph.NodeID
-	var yte []int
-	visible := make(map[graph.NodeID]int)
-	for i, j := range idx {
-		if i < cut {
-			train = append(train, events[j])
-			visible[events[j]] = labels[j]
-		} else {
-			test = append(test, events[j])
-			yte = append(yte, labels[j])
-		}
+	s := c.holdout(700)
+	cfg := c.GNNConfig(2)
+	if !c.Opts.Fast {
+		cfg.Hidden = 48
 	}
-	cfg := gnn.Config{
-		Layers: 2, Hidden: 48, Encoding: set.Config.Encoding,
-		LR: 1e-2, Epochs: 60, Seed: c.Opts.Seed,
-		NoL2: tmpl.NoL2,
-	}
-	if c.Opts.Fast {
-		cfg.Hidden = 16
-		cfg.Epochs = 10
-	}
-	model, err := gnn.TrainCtx(in, train, cfg, gnn.TrainOpts{})
+	cfg.NoL2 = noL2
+	model, err := gnn.TrainCtx(in, s.train, cfg, gnn.TrainOpts{})
 	if err != nil {
 		return 0, err
 	}
-	return ml.Accuracy(yte, model.Predict(in, visible, test)), nil
+	return ml.Accuracy(s.truth, model.Predict(in, s.seeds, s.queries)), nil
+}
+
+// RunAblationSAGEvsGCN compares the paper's GraphSAGE choice against the
+// Eq. 2 GCN baseline on the same holdout split.
+func RunAblationSAGEvsGCN(ctx *Context) (*AblationRow, error) {
+	set, err := ctx.encoders()
+	if err != nil {
+		return nil, err
+	}
+	in := gnn.BuildInput(ctx.TKG.G, ctx.TKG.Features, set, ctx.Classes)
+	s := ctx.holdout(900)
+	cfg := ctx.GNNConfig(2)
+	sage, err := gnn.TrainCtx(in, s.train, cfg, gnn.TrainOpts{})
+	if err != nil {
+		return nil, err
+	}
+	gc, err := gnn.TrainGCNCtx(in, s.train, cfg, gnn.TrainOpts{})
+	if err != nil {
+		return nil, err
+	}
+	return &AblationRow{
+		Name:     "SAGE vs GCN (Eq. 3 vs Eq. 2)",
+		VariantA: "GraphSAGE", AccA: ml.Accuracy(s.truth, sage.Predict(in, s.seeds, s.queries)),
+		VariantB: "GCN", AccB: ml.Accuracy(s.truth, gc.Predict(in, s.seeds, s.queries)),
+	}, nil
 }
 
 // RunAblationSMOTE compares Table III URL attribution with and without

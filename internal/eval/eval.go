@@ -8,13 +8,13 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
 
 	"trail/internal/core"
 	"trail/internal/gnn"
-	"trail/internal/graph"
 	"trail/internal/osint"
 )
 
@@ -65,9 +65,8 @@ type Context struct {
 	// a single core training it once matters.
 	baseGNNMu sync.Mutex
 	baseGNN   map[int]*baseGNNBundle
-	// encOnce/encSet/encErr memoise encoders(): every GNN experiment but
-	// Table IV feeds the same autoencoders, trained on the unchanging
-	// base TKG.
+	// encOnce/encSet/encErr memoise encoders(): every GNN experiment
+	// feeds the same autoencoders, trained on the unchanging base TKG.
 	encOnce sync.Once
 	encSet  *gnn.EncoderSet
 	encErr  error
@@ -82,15 +81,24 @@ type baseGNNBundle struct {
 // NewContext generates the world and builds the TKG over the training
 // window.
 func NewContext(opts Options) (*Context, error) {
+	ctx, _, err := newContext(opts, func(w *osint.World) osint.FallibleServices { return osint.Infallible(w) })
+	return ctx, err
+}
+
+// newContext generates the world and builds the TKG over the training
+// window, enriching through the services stack svc puts in front of the
+// world. It returns the build report too.
+func newContext(opts Options, svc func(*osint.World) osint.FallibleServices) (*Context, *core.BuildReport, error) {
 	w := osint.NewWorld(opts.World)
 	trainMonths := opts.World.Months - opts.StudyMonths
 	if trainMonths < 1 {
-		return nil, fmt.Errorf("eval: %d months with %d study months leaves no training window",
+		return nil, nil, fmt.Errorf("eval: %d months with %d study months leaves no training window",
 			opts.World.Months, opts.StudyMonths)
 	}
-	tkg := core.NewTKG(w, w.Resolver(), core.DefaultBuildConfig())
-	if _, err := tkg.Build(w.PulsesInMonths(0, trainMonths)); err != nil {
-		return nil, err
+	tkg := core.NewTKGFallible(svc(w), w.Resolver(), core.DefaultBuildConfig())
+	rep, err := tkg.Build(w.PulsesInMonths(0, trainMonths))
+	if err != nil {
+		return nil, nil, err
 	}
 	return &Context{
 		Opts:        opts,
@@ -99,7 +107,7 @@ func NewContext(opts Options) (*Context, error) {
 		Classes:     len(w.Roster()),
 		Names:       w.Resolver().Names(),
 		TrainMonths: trainMonths,
-	}, nil
+	}, rep, nil
 }
 
 // rng returns a deterministic source offset from the context seed so
@@ -108,12 +116,82 @@ func (c *Context) rng(offset int64) *rand.Rand {
 	return rand.New(rand.NewSource(c.Opts.Seed + offset))
 }
 
-// eventLabels returns the event node IDs and labels of the TKG.
-func (c *Context) eventLabels() ([]graph.NodeID, []int) {
-	events := c.TKG.EventNodes()
-	labels := make([]int, len(events))
-	for i, ev := range events {
-		labels[i] = c.TKG.G.Node(ev).Label
+// AEConfig is the autoencoder configuration of every experiment and of
+// `trail train`: DefaultAEConfig, cut to 2 epochs and 32 hidden units in
+// Fast mode.
+func (c *Context) AEConfig() gnn.AEConfig {
+	cfg := gnn.DefaultAEConfig()
+	if c.Opts.Fast {
+		cfg.Epochs = 2
+		cfg.Hidden = 32
 	}
-	return events, labels
+	return cfg
+}
+
+// GNNConfig is the GraphSAGE configuration of the given depth that the
+// experiments and `trail train` start from: 64 hidden units and 60
+// epochs (16 and 10 in Fast mode) over AEConfig's encoding, seeded with
+// the context seed.
+func (c *Context) GNNConfig(layers int) gnn.Config {
+	cfg := gnn.Config{
+		Layers: layers, Hidden: 64, Encoding: c.AEConfig().Encoding,
+		LR: 1e-2, Epochs: 60, Seed: c.Opts.Seed,
+	}
+	if c.Opts.Fast {
+		cfg.Hidden = 16
+		cfg.Epochs = 10
+	}
+	return cfg
+}
+
+// encoders returns the autoencoder set trained on the base TKG with
+// AEConfig's settings, training it on first use.
+func (c *Context) encoders() (*gnn.EncoderSet, error) {
+	c.encOnce.Do(func() {
+		c.encSet, c.encErr = gnn.TrainEncodersCtx(context.TODO(), c.TKG.G, c.TKG.Features, c.AEConfig(), gnn.EncoderTrainOpts{})
+	})
+	return c.encSet, c.encErr
+}
+
+// trainBaseGNN trains (or returns the cached) production GNN on the base
+// TKG: the case study, Figs. 7-8 and Fig. 10 all share it.
+func (c *Context) trainBaseGNN(layers int) (*gnn.EncoderSet, gnn.Input, *gnn.Model, error) {
+	c.baseGNNMu.Lock()
+	defer c.baseGNNMu.Unlock()
+	if b, ok := c.baseGNN[layers]; ok {
+		return b.set, b.in, b.model, nil
+	}
+
+	set, err := c.encoders()
+	if err != nil {
+		return nil, gnn.Input{}, nil, err
+	}
+	in := gnn.BuildInput(c.TKG.G, c.TKG.Features, set, c.Classes)
+	model, err := gnn.TrainCtx(in, c.TKG.EventNodes(), c.GNNConfig(layers), gnn.TrainOpts{})
+	if err != nil {
+		return nil, gnn.Input{}, nil, err
+	}
+	if c.baseGNN == nil {
+		c.baseGNN = make(map[int]*baseGNNBundle)
+	}
+	c.baseGNN[layers] = &baseGNNBundle{set: set, in: in, model: model}
+	return set, in, model, nil
+}
+
+// classOf returns the class index of the named APT.
+func (c *Context) classOf(name string) (int, error) {
+	for i, n := range c.Names {
+		if n == name {
+			return i, nil
+		}
+	}
+	return -1, fmt.Errorf("eval: unknown APT %q", name)
+}
+
+// nameOf returns the name of a predicted class, or UNATTRIBUTED.
+func (c *Context) nameOf(class int) string {
+	if class < 0 || class >= len(c.Names) {
+		return "UNATTRIBUTED"
+	}
+	return c.Names[class]
 }

@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"trail/internal/core"
 	"trail/internal/graph"
 )
 
@@ -88,6 +90,22 @@ func TestTableIIIFast(t *testing.T) {
 	}
 }
 
+// TestTableIIIHeaderFolds: the Table III header names the fold count the
+// means were taken over, not a fixed one.
+func TestTableIIIHeaderFolds(t *testing.T) {
+	ctx := getCtx(t)
+	if ctx.Opts.Folds != 3 {
+		t.Fatalf("TestOptions folds = %d, want 3", ctx.Opts.Folds)
+	}
+	res, err := RunTableIII(ctx, TableIIIConfig{Models: []ModelName{ModelRF}, Kinds: []graph.NodeKind{graph.KindIP}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := res.Render(); !strings.Contains(out, "(3-fold mean)") {
+		t.Fatalf("header does not name 3 folds:\n%s", out)
+	}
+}
+
 func TestTableIVLPOrdering(t *testing.T) {
 	ctx := getCtx(t)
 	res, err := RunTableIV(ctx, TableIVConfig{LPLayers: []int{2, 4}})
@@ -128,7 +146,7 @@ func TestTableIVGNNFast(t *testing.T) {
 
 func TestTableIVModeVote(t *testing.T) {
 	ctx := getCtx(t)
-	res, err := RunTableIV(ctx, TableIVConfig{Models: []ModelName{ModelRF}, MaxTrainRows: 1500})
+	res, err := RunTableIV(ctx, TableIVConfig{Models: []ModelName{ModelRF}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +194,27 @@ func TestFigure7(t *testing.T) {
 	}
 }
 
+// TestMergePulsesDuplicate: merging the same month twice fails with
+// core.ErrDuplicate instead of silently dropping the month.
+func TestMergePulsesDuplicate(t *testing.T) {
+	ctx := getCtx(t)
+	tkg, err := ctx.TKG.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pulses := ctx.World.PulsesInMonths(ctx.TrainMonths, ctx.TrainMonths+1)
+	events, truth, err := mergePulses(tkg, pulses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 || len(truth) != len(events) {
+		t.Fatalf("first merge: %d events, %d labels", len(events), len(truth))
+	}
+	if _, _, err := mergePulses(tkg, pulses); !errors.Is(err, core.ErrDuplicate) {
+		t.Fatalf("second merge: err = %v, want core.ErrDuplicate", err)
+	}
+}
+
 func TestFigure8(t *testing.T) {
 	ctx := getCtx(t)
 	res, err := RunFigure8(ctx)
@@ -198,7 +237,7 @@ func TestFigure8(t *testing.T) {
 
 func TestFigure9(t *testing.T) {
 	ctx := getCtx(t)
-	res, err := RunFigure9(ctx, DefaultFigure9Config())
+	res, err := RunFigure9(ctx, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +256,7 @@ func TestFigure9(t *testing.T) {
 
 func TestFigure10(t *testing.T) {
 	ctx := getCtx(t)
-	res, err := RunFigure10(ctx, "", 10)
+	res, err := RunFigure10(ctx, "")
 	if err != nil {
 		t.Fatal(err)
 	}

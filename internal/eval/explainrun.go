@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 
 	"trail/internal/explain"
@@ -38,40 +39,26 @@ func (r *Figure9Result) Render() string {
 	return b.String()
 }
 
-// Figure9Config tunes the SHAP run.
-type Figure9Config struct {
-	// APTName selects the explained class (default APT28, as in the
-	// paper).
-	APTName string
-	// ExplainSamples is how many of the class's URLs to explain.
-	ExplainSamples int
-	// BackgroundSamples sizes the SHAP reference set.
-	BackgroundSamples int
-	// TopK features to report.
-	TopK int
-	// Permutations per explained sample.
-	Permutations int
-}
-
-// DefaultFigure9Config mirrors the paper's Fig. 9 view.
-func DefaultFigure9Config() Figure9Config {
-	return Figure9Config{APTName: "APT28", ExplainSamples: 24, BackgroundSamples: 48, TopK: 10, Permutations: 4}
-}
+// Fig. 9 sizing: the class URLs explained, the SHAP background set, the
+// features reported, and the permutations per explained sample. Fast
+// mode explains 4 URLs with 1 permutation each.
+const (
+	fig9ExplainSamples    = 24
+	fig9BackgroundSamples = 48
+	fig9TopK              = 10
+	fig9Permutations      = 4
+)
 
 // RunFigure9 trains the XGB URL classifier and computes sampling-SHAP
-// values for the chosen class's URL samples.
-func RunFigure9(ctx *Context, cfg Figure9Config) (*Figure9Result, error) {
-	if cfg.APTName == "" {
-		cfg = DefaultFigure9Config()
+// values for the named class's URL samples (APT28 by default, as in the
+// paper).
+func RunFigure9(ctx *Context, aptName string) (*Figure9Result, error) {
+	if aptName == "" {
+		aptName = "APT28"
 	}
-	class := -1
-	for i, n := range ctx.Names {
-		if n == cfg.APTName {
-			class = i
-		}
-	}
-	if class < 0 {
-		return nil, fmt.Errorf("eval: unknown APT %q", cfg.APTName)
+	class, err := ctx.classOf(aptName)
+	if err != nil {
+		return nil, err
 	}
 	X, y, err := ctx.LabeledFeatureMatrix(graph.KindURL)
 	if err != nil {
@@ -88,23 +75,23 @@ func RunFigure9(ctx *Context, cfg Figure9Config) (*Figure9Result, error) {
 	// sample.
 	var classRows, bgRows []int
 	for i, c := range y {
-		if c == class && len(classRows) < cfg.ExplainSamples {
+		if c == class && len(classRows) < fig9ExplainSamples {
 			classRows = append(classRows, i)
 		}
 	}
 	if len(classRows) == 0 {
-		return nil, fmt.Errorf("eval: no %s URL samples", cfg.APTName)
+		return nil, fmt.Errorf("eval: no %s URL samples", aptName)
 	}
-	step := Xs.Rows / cfg.BackgroundSamples
+	step := Xs.Rows / fig9BackgroundSamples
 	if step < 1 {
 		step = 1
 	}
-	for i := 0; i < Xs.Rows && len(bgRows) < cfg.BackgroundSamples; i += step {
+	for i := 0; i < Xs.Rows && len(bgRows) < fig9BackgroundSamples; i += step {
 		bgRows = append(bgRows, i)
 	}
 
 	shap := explain.NewSHAP(model, Xs.SelectRows(bgRows))
-	shap.Permutations = cfg.Permutations
+	shap.Permutations = fig9Permutations
 	if ctx.Opts.Fast {
 		shap.Permutations = 1
 		if len(classRows) > 4 {
@@ -112,9 +99,9 @@ func RunFigure9(ctx *Context, cfg Figure9Config) (*Figure9Result, error) {
 		}
 	}
 	vals := shap.Matrix(Xs.SelectRows(classRows), class)
-	impacts := explain.Summarize(vals, feature.Names(ioc.TypeURL), cfg.TopK)
+	impacts := explain.Summarize(vals, feature.Names(ioc.TypeURL), fig9TopK)
 	return &Figure9Result{
-		APT:     cfg.APTName,
+		APT:     aptName,
 		Class:   class,
 		Impacts: impacts,
 		Samples: len(classRows),
@@ -154,29 +141,23 @@ func (r *Figure10Result) Render() string {
 	return b.String()
 }
 
+// fig10TopK is how many of the explanation's top nodes Fig. 10 reads.
+const fig10TopK = 15
+
 // RunFigure10 trains a 3-layer GNN and explains one event of the chosen
 // class (APT28 by default, as in the paper).
-func RunFigure10(ctx *Context, aptName string, topK int) (*Figure10Result, error) {
+func RunFigure10(ctx *Context, aptName string) (*Figure10Result, error) {
 	if aptName == "" {
 		aptName = "APT28"
 	}
-	if topK <= 0 {
-		topK = 15
-	}
-	class := -1
-	for i, n := range ctx.Names {
-		if n == aptName {
-			class = i
-		}
-	}
-	if class < 0 {
-		return nil, fmt.Errorf("eval: unknown APT %q", aptName)
-	}
-	set, in, model, err := ctx.trainBaseGNN(3)
+	class, err := ctx.classOf(aptName)
 	if err != nil {
 		return nil, err
 	}
-	_ = set
+	_, in, model, err := ctx.trainBaseGNN(3)
+	if err != nil {
+		return nil, err
+	}
 
 	// Prefer a correctly classified event of the class; fall back to any
 	// event of the class — the paper notes that explaining a wrong
@@ -191,7 +172,7 @@ func RunFigure10(ctx *Context, aptName string, topK int) (*Figure10Result, error
 		if fallback < 0 {
 			fallback = ev
 		}
-		vis := cloneVisible(visible)
+		vis := maps.Clone(visible)
 		delete(vis, ev)
 		if model.Predict(in, vis, []graph.NodeID{ev})[0] == class {
 			target = ev
@@ -204,7 +185,7 @@ func RunFigure10(ctx *Context, aptName string, topK int) (*Figure10Result, error
 	if target < 0 {
 		return nil, errors.New("eval: no events of the requested class in the TKG")
 	}
-	vis := cloneVisible(visible)
+	vis := maps.Clone(visible)
 	delete(vis, target)
 	pred := model.Predict(in, vis, []graph.NodeID{target})[0]
 
@@ -217,10 +198,10 @@ func RunFigure10(ctx *Context, aptName string, topK int) (*Figure10Result, error
 	res := &Figure10Result{
 		Event:     ctx.TKG.G.Node(target).Key,
 		APT:       aptName,
-		Predicted: nameOf(ctx, pred),
+		Predicted: ctx.nameOf(pred),
 	}
 	for i, id := range exp.Nodes {
-		if i >= topK {
+		if i >= fig10TopK {
 			break
 		}
 		if id == target {
@@ -235,12 +216,4 @@ func RunFigure10(ctx *Context, aptName string, topK int) (*Figure10Result, error
 		}
 	}
 	return res, nil
-}
-
-func cloneVisible(m map[graph.NodeID]int) map[graph.NodeID]int {
-	out := make(map[graph.NodeID]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

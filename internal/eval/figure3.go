@@ -39,14 +39,9 @@ func RunFigure3(ctx *Context, aptName string) (*Figure3Result, error) {
 	if aptName == "" {
 		aptName = "APT28"
 	}
-	class := -1
-	for i, n := range ctx.Names {
-		if n == aptName {
-			class = i
-		}
-	}
-	if class < 0 {
-		return nil, fmt.Errorf("eval: unknown APT %q", aptName)
+	class, err := ctx.classOf(aptName)
+	if err != nil {
+		return nil, err
 	}
 	// Largest event of the class by degree: the richest ego-net.
 	var target graph.NodeID = -1

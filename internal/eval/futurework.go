@@ -3,12 +3,11 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"trail/internal/gnn"
 	"trail/internal/graph"
-	"trail/internal/labelprop"
-	"trail/internal/ml"
 )
 
 // This file implements the extensions the paper's Discussion section (§IX)
@@ -61,14 +60,9 @@ func RunUnknownAPTStudy(ctx *Context, heldOut string) (*UnknownAPTResult, error)
 	if heldOut == "" {
 		heldOut = "APT41"
 	}
-	heldClass := -1
-	for i, n := range ctx.Names {
-		if n == heldOut {
-			heldClass = i
-		}
-	}
-	if heldClass < 0 {
-		return nil, fmt.Errorf("eval: unknown APT %q", heldOut)
+	heldClass, err := ctx.classOf(heldOut)
+	if err != nil {
+		return nil, err
 	}
 
 	// The TKG itself may contain the held-out group's events (they exist
@@ -78,7 +72,7 @@ func RunUnknownAPTStudy(ctx *Context, heldOut string) (*UnknownAPTResult, error)
 		return nil, err
 	}
 	in := gnn.BuildInput(ctx.TKG.G, ctx.TKG.Features, set, ctx.Classes)
-	events, labels := ctx.eventLabels()
+	events, labels := eventLabels(ctx.TKG)
 
 	var train, knownTest, unknownTest []graph.NodeID
 	var knownTruth []int
@@ -99,15 +93,7 @@ func RunUnknownAPTStudy(ctx *Context, heldOut string) (*UnknownAPTResult, error)
 	if len(unknownTest) == 0 {
 		return nil, fmt.Errorf("eval: no %s events in the TKG", heldOut)
 	}
-	gcfg := gnn.Config{
-		Layers: 2, Hidden: 64, Encoding: set.Config.Encoding,
-		LR: 1e-2, Epochs: 60, Seed: ctx.Opts.Seed,
-	}
-	if ctx.Opts.Fast {
-		gcfg.Hidden = 16
-		gcfg.Epochs = 10
-	}
-	model, err := gnn.TrainCtx(in, train, gcfg, gnn.TrainOpts{})
+	model, err := gnn.TrainCtx(in, train, ctx.GNNConfig(2), gnn.TrainOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -184,16 +170,11 @@ func RunZeroShotLP(ctx *Context, aptName string) (*ZeroShotResult, error) {
 	if aptName == "" {
 		aptName = "GAMAREDON"
 	}
-	class := -1
-	for i, n := range ctx.Names {
-		if n == aptName {
-			class = i
-		}
+	class, err := ctx.classOf(aptName)
+	if err != nil {
+		return nil, err
 	}
-	if class < 0 {
-		return nil, fmt.Errorf("eval: unknown APT %q", aptName)
-	}
-	events, labels := ctx.eventLabels()
+	events, labels := eventLabels(ctx.TKG)
 	var group, others []int
 	for i := range events {
 		if labels[i] == class {
@@ -205,81 +186,18 @@ func RunZeroShotLP(ctx *Context, aptName string) (*ZeroShotResult, error) {
 	if len(group) < 4 {
 		return nil, errors.New("eval: too few events of the chosen group")
 	}
+	// Seeds: every other group's events, plus half of the group's in
+	// the with-seeds run; queries: the group's other half.
 	half := len(group) / 2
-	seedIdx, testIdx := group[:half], group[half:]
-
-	csr := ctx.TKG.G.CSR()
-	queries := make([]graph.NodeID, len(testIdx))
-	truth := make([]int, len(testIdx))
-	for i, gi := range testIdx {
-		queries[i] = events[gi]
-		truth[i] = labels[gi]
-	}
-
-	seedsWith := make(map[graph.NodeID]int)
-	seedsWithout := make(map[graph.NodeID]int)
-	for _, oi := range others {
-		seedsWith[events[oi]] = labels[oi]
-		seedsWithout[events[oi]] = labels[oi]
-	}
-	for _, si := range seedIdx {
-		seedsWith[events[si]] = labels[si]
-	}
-
-	predWith := labelprop.AttributeCSR(csr, seedsWith, queries, ctx.Classes, 4)
-	predWithout := labelprop.AttributeCSR(csr, seedsWithout, queries, ctx.Classes, 4)
+	with := newSplit(events, labels, slices.Concat(others, group[:half]), group[half:])
+	without := newSplit(events, labels, others, group[half:])
+	accs, _ := ctx.lpSplits(ctx.TKG, []split{with, without}, 4)
 
 	return &ZeroShotResult{
 		APT:                    aptName,
-		SeedEvents:             len(seedIdx),
-		TestEvents:             len(testIdx),
-		LPAccuracy:             ml.Accuracy(truth, predWith),
-		LPAccuracyWithoutSeeds: ml.Accuracy(truth, predWithout),
-	}, nil
-}
-
-// RunAblationSAGEvsGCN compares the paper's GraphSAGE choice against the
-// Eq. 2 GCN baseline on the same holdout split.
-func RunAblationSAGEvsGCN(ctx *Context) (*AblationRow, error) {
-	set, err := ctx.encoders()
-	if err != nil {
-		return nil, err
-	}
-	in := gnn.BuildInput(ctx.TKG.G, ctx.TKG.Features, set, ctx.Classes)
-	events, labels := ctx.eventLabels()
-	idx := ctx.rng(900).Perm(len(events))
-	cut := len(events) * 4 / 5
-	var train, test []graph.NodeID
-	var yte []int
-	visible := make(map[graph.NodeID]int)
-	for i, j := range idx {
-		if i < cut {
-			train = append(train, events[j])
-			visible[events[j]] = labels[j]
-		} else {
-			test = append(test, events[j])
-			yte = append(yte, labels[j])
-		}
-	}
-	cfg := gnn.Config{
-		Layers: 2, Hidden: 64, Encoding: set.Config.Encoding,
-		LR: 1e-2, Epochs: 60, Seed: ctx.Opts.Seed,
-	}
-	if ctx.Opts.Fast {
-		cfg.Hidden = 16
-		cfg.Epochs = 10
-	}
-	sage, err := gnn.TrainCtx(in, train, cfg, gnn.TrainOpts{})
-	if err != nil {
-		return nil, err
-	}
-	gc, err := gnn.TrainGCNCtx(in, train, cfg, gnn.TrainOpts{})
-	if err != nil {
-		return nil, err
-	}
-	return &AblationRow{
-		Name:     "SAGE vs GCN (Eq. 3 vs Eq. 2)",
-		VariantA: "GraphSAGE", AccA: ml.Accuracy(yte, sage.Predict(in, visible, test)),
-		VariantB: "GCN", AccB: ml.Accuracy(yte, gc.Predict(in, visible, test)),
+		SeedEvents:             half,
+		TestEvents:             len(with.queries),
+		LPAccuracy:             accs[0],
+		LPAccuracyWithoutSeeds: accs[1],
 	}, nil
 }

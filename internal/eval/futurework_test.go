@@ -35,10 +35,26 @@ func TestUnknownAPTStudy(t *testing.T) {
 	}
 }
 
+// TestUnknownAPTStudyUnknownName: every entry point that takes an APT
+// name rejects a name outside the roster.
 func TestUnknownAPTStudyUnknownName(t *testing.T) {
 	ctx := getCtx(t)
-	if _, err := RunUnknownAPTStudy(ctx, "NOT_A_GROUP"); err == nil {
-		t.Fatal("unknown group accepted")
+	for _, tc := range []struct {
+		name string
+		run  func(*Context, string) error
+	}{
+		{"RunFigure3", func(c *Context, n string) error { _, err := RunFigure3(c, n); return err }},
+		{"RunFigure9", func(c *Context, n string) error { _, err := RunFigure9(c, n); return err }},
+		{"RunFigure10", func(c *Context, n string) error { _, err := RunFigure10(c, n); return err }},
+		{"RunUnknownAPTStudy", func(c *Context, n string) error { _, err := RunUnknownAPTStudy(c, n); return err }},
+		{"RunZeroShotLP", func(c *Context, n string) error { _, err := RunZeroShotLP(c, n); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run(ctx, "NOT_A_GROUP")
+			if err == nil || !strings.Contains(err.Error(), `unknown APT "NOT_A_GROUP"`) {
+				t.Fatalf("err = %v, want unknown APT", err)
+			}
+		})
 	}
 }
 

@@ -1,61 +1,19 @@
 package eval
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
 
+	"trail/internal/core"
 	"trail/internal/gnn"
 	"trail/internal/graph"
 	"trail/internal/ioc"
 	"trail/internal/labelprop"
+	"trail/internal/mat"
 	"trail/internal/ml"
 	"trail/internal/osint"
 )
-
-// trainBaseGNN trains (or returns the cached) production GNN on the base
-// TKG: the case study, Figs. 7-8 and Fig. 10 all share it.
-func (c *Context) trainBaseGNN(layers int) (*gnn.EncoderSet, gnn.Input, *gnn.Model, error) {
-	c.baseGNNMu.Lock()
-	defer c.baseGNNMu.Unlock()
-	if b, ok := c.baseGNN[layers]; ok {
-		return b.set, b.in, b.model, nil
-	}
-
-	set, err := c.encoders()
-	if err != nil {
-		return nil, gnn.Input{}, nil, err
-	}
-	gcfg := gnn.Config{
-		Layers: layers, Hidden: 64, Encoding: set.Config.Encoding,
-		LR: 1e-2, Epochs: 60, Seed: c.Opts.Seed,
-	}
-	if c.Opts.Fast {
-		gcfg.Hidden = 16
-		gcfg.Epochs = 10
-	}
-	in := gnn.BuildInput(c.TKG.G, c.TKG.Features, set, c.Classes)
-	events := c.TKG.EventNodes()
-	model, err := gnn.TrainCtx(in, events, gcfg, gnn.TrainOpts{})
-	if err != nil {
-		return nil, gnn.Input{}, nil, err
-	}
-	if c.baseGNN == nil {
-		c.baseGNN = make(map[int]*baseGNNBundle)
-	}
-	c.baseGNN[layers] = &baseGNNBundle{set: set, in: in, model: model}
-	return set, in, model, nil
-}
-
-// encoders returns the autoencoder set trained on the base TKG with
-// aeConfigFor's settings, training it on first use.
-func (c *Context) encoders() (*gnn.EncoderSet, error) {
-	c.encOnce.Do(func() {
-		c.encSet, c.encErr = gnn.TrainEncodersCtx(context.TODO(), c.TKG.G, c.TKG.Features, aeConfigFor(c), gnn.EncoderTrainOpts{})
-	})
-	return c.encSet, c.encErr
-}
 
 // CaseStudyResult reproduces §VII-C (Figs. 5-6): a never-seen event is
 // merged into the TKG, enriched, and attributed by LP and by the GNN with
@@ -149,17 +107,17 @@ func RunCaseStudy(ctx *Context) (*CaseStudyResult, error) {
 	seeds := tkg.EventSeeds()
 	delete(seeds, evID)
 	lpPred := labelprop.AttributeCSR(tkg.G.CSR(), seeds, []graph.NodeID{evID}, ctx.Classes, 4)[0]
-	res.LPPrediction = nameOf(ctx, lpPred)
+	res.LPPrediction = ctx.nameOf(lpPred)
 
 	// GNN on the merged graph: encodings recomputed with the frozen
 	// encoder set ("updating the TKG" without retraining, §VII-C).
 	in := gnn.BuildInput(tkg.G, tkg.Features, set, ctx.Classes)
 	blind := model.PredictProba(in, nil, []graph.NodeID{evID})
 	res.GNNConfBlind = blind.At(0, truth)
-	res.GNNPredBlind = nameOf(ctx, argmaxRow(blind, 0))
+	res.GNNPredBlind = ctx.nameOf(mat.Argmax(blind.Row(0)))
 	vis := model.PredictProba(in, seeds, []graph.NodeID{evID})
 	res.GNNConfVisible = vis.At(0, truth)
-	res.GNNPredVisible = nameOf(ctx, argmaxRow(vis, 0))
+	res.GNNPredVisible = ctx.nameOf(mat.Argmax(vis.Row(0)))
 	return res, nil
 }
 
@@ -168,31 +126,27 @@ func RunCaseStudy(ctx *Context) (*CaseStudyResult, error) {
 // overlap infrastructure already in the TKG (the paper's APT38 report
 // shared 40% of its domains and 20% of its IPs with earlier events).
 func (ctx *Context) pickCaseStudyPulse() (osint.Pulse, bool) {
-	counts := make(map[int]int)
-	for _, ev := range ctx.TKG.EventNodes() {
-		counts[ctx.TKG.G.Node(ev).Label]++
+	post := ctx.World.PulsesInMonths(ctx.TrainMonths, ctx.TrainMonths+ctx.Opts.StudyMonths)
+	if len(post) == 0 {
+		return osint.Pulse{}, false
 	}
-	var best *osint.Pulse
-	bestOverlap := -1
-	for _, p := range ctx.World.PulsesInMonths(ctx.TrainMonths, ctx.TrainMonths+ctx.Opts.StudyMonths) {
-		p := p
+	_, labels := eventLabels(ctx.TKG)
+	counts := make(map[int]int)
+	for _, l := range labels {
+		counts[l]++
+	}
+	// Degenerate worlds (tests) may have no candidate: take the first
+	// post-cutoff pulse.
+	best, bestOverlap := 0, -1
+	for i, p := range post {
 		if counts[p.TrueAPT] < 10 || len(p.Indicators) < 5 {
 			continue
 		}
-		overlap := ctx.pulseOverlap(p)
-		if overlap > bestOverlap {
-			best, bestOverlap = &p, overlap
+		if overlap := ctx.pulseOverlap(p); overlap > bestOverlap {
+			best, bestOverlap = i, overlap
 		}
 	}
-	if best != nil {
-		return *best, true
-	}
-	// Degenerate worlds (tests): take anything post-cutoff.
-	post := ctx.World.PulsesInMonths(ctx.TrainMonths, ctx.TrainMonths+ctx.Opts.StudyMonths)
-	if len(post) > 0 {
-		return post[0], true
-	}
-	return osint.Pulse{}, false
+	return post[best], true
 }
 
 // pulseOverlap counts the pulse's indicators already present in the TKG.
@@ -203,7 +157,7 @@ func (ctx *Context) pulseOverlap(p osint.Pulse) int {
 		if !ok {
 			continue
 		}
-		kind, ok := kindOfIOC(item.Type)
+		kind, ok := core.KindOf(item.Type)
 		if !ok {
 			continue
 		}
@@ -212,46 +166,6 @@ func (ctx *Context) pulseOverlap(p osint.Pulse) int {
 		}
 	}
 	return overlap
-}
-
-func kindOfIOC(t ioc.Type) (graph.NodeKind, bool) {
-	switch t {
-	case ioc.TypeIP:
-		return graph.KindIP, true
-	case ioc.TypeURL:
-		return graph.KindURL, true
-	case ioc.TypeDomain:
-		return graph.KindDomain, true
-	default:
-		return 0, false
-	}
-}
-
-func aeConfigFor(ctx *Context) gnn.AEConfig {
-	cfg := gnn.DefaultAEConfig()
-	if ctx.Opts.Fast {
-		cfg.Epochs = 2
-		cfg.Hidden = 32
-	}
-	return cfg
-}
-
-func nameOf(ctx *Context, class int) string {
-	if class < 0 || class >= len(ctx.Names) {
-		return "UNATTRIBUTED"
-	}
-	return ctx.Names[class]
-}
-
-func argmaxRow(m interface{ Row(int) []float64 }, i int) int {
-	row := m.Row(i)
-	best, bi := row[0], 0
-	for j, v := range row[1:] {
-		if v > best {
-			best, bi = v, j+1
-		}
-	}
-	return bi
 }
 
 // Figure7Result is the one-month unseen-event confusion matrix (§VII-C).
@@ -288,25 +202,14 @@ func RunFigure7(ctx *Context) (*Figure7Result, error) {
 		return nil, err
 	}
 	baseVisible := tkg.EventSeeds()
-
-	var newEvents []graph.NodeID
-	for _, p := range ctx.World.PulsesInMonths(ctx.TrainMonths, ctx.TrainMonths+1) {
-		ev, err := tkg.AddPulse(p)
-		if err != nil {
-			continue // skipped pulse
-		}
-		newEvents = append(newEvents, ev)
+	newEvents, truth, err := mergePulses(tkg, ctx.World.PulsesInMonths(ctx.TrainMonths, ctx.TrainMonths+1))
+	if err != nil {
+		return nil, err
 	}
 	if len(newEvents) == 0 {
 		return nil, errors.New("eval: no events in the first study month")
 	}
-	tkg.FinalizeLabels()
 	in := gnn.BuildInput(tkg.G, tkg.Features, set, ctx.Classes)
-
-	truth := make([]int, len(newEvents))
-	for i, ev := range newEvents {
-		truth[i] = tkg.G.Node(ev).Label
-	}
 	pred := model.Predict(in, baseVisible, newEvents)
 	conf := model.Confidence(in, baseVisible, newEvents)
 
@@ -399,37 +302,23 @@ func RunFigure8(ctx *Context) (*Figure8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var fEvents []graph.NodeID
-		for _, p := range pulses {
-			if ev, err := frozenClone.AddPulse(p); err == nil {
-				fEvents = append(fEvents, ev)
-			}
+		fEvents, fTruth, err := mergePulses(frozenClone, pulses)
+		if err != nil {
+			return nil, err
 		}
-		frozenClone.FinalizeLabels()
 		fIn := gnn.BuildInput(frozenClone.G, frozenClone.Features, set, ctx.Classes)
-		fTruth := make([]int, len(fEvents))
-		for i, ev := range fEvents {
-			fTruth[i] = frozenClone.G.Node(ev).Label
-		}
 		fPred := frozenModel.Predict(fIn, frozenVisible, fEvents)
 
 		// Live track: merge into the growing TKG; predict with the
 		// up-to-date model, then fine-tune on this month for the next.
-		var lEvents []graph.NodeID
-		for _, p := range pulses {
-			if ev, err := liveTKG.AddPulse(p); err == nil {
-				lEvents = append(lEvents, ev)
-			}
+		lEvents, lTruth, err := mergePulses(liveTKG, pulses)
+		if err != nil {
+			return nil, err
 		}
-		liveTKG.FinalizeLabels()
 		lIn := gnn.BuildInput(liveTKG.G, liveTKG.Features, set, ctx.Classes)
 		lVisible := liveTKG.EventSeeds()
 		for _, ev := range lEvents {
 			delete(lVisible, ev)
-		}
-		lTruth := make([]int, len(lEvents))
-		for i, ev := range lEvents {
-			lTruth[i] = liveTKG.G.Node(ev).Label
 		}
 		lPred := liveModel.Predict(lIn, lVisible, lEvents)
 		if err := liveModel.FineTune(lIn, lEvents, fineTuneEpochs); err != nil {

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"trail/internal/ckpt"
-	"trail/internal/core"
 	"trail/internal/ml"
 	"trail/internal/osint"
 )
@@ -91,11 +89,6 @@ func (r *RobustnessResult) AccuracyDrop(family string) float64 {
 	return first.LP.Mean - last.LP.Mean
 }
 
-// RunRobustness rebuilds the TKG at each fault rate behind the full
-// chaos -> retry/breaker stack and re-runs event attribution on the
-// degraded graph. The base context supplies world configuration and
-// evaluation options only; each point builds its own world so degraded
-// feature vectors are genuinely imputed, not copied from the baseline.
 // robustnessUnit is the journaled result of one sweep point (the point
 // plus the table's event count, which Render needs).
 type robustnessUnit struct {
@@ -111,6 +104,11 @@ func robustnessKey(opts Options, cfg RobustnessConfig, rate float64) string {
 		rate, cfg.LPLayers, cfg.GNNLayers, cfg.TransientRate, cfg.ChaosSeed, opts.Seed)
 }
 
+// RunRobustness rebuilds the TKG at each fault rate behind the full
+// chaos -> retry/breaker stack and re-runs event attribution on the
+// degraded graph. The base context supplies world configuration and
+// evaluation options only; each point builds its own world so degraded
+// feature vectors are genuinely imputed, not copied from the baseline.
 func RunRobustness(ctx *Context, cfg RobustnessConfig) (*RobustnessResult, error) {
 	if len(cfg.Rates) == 0 {
 		cfg = DefaultRobustnessConfig()
@@ -138,7 +136,9 @@ func RunRobustness(ctx *Context, cfg RobustnessConfig) (*RobustnessResult, error
 				continue
 			}
 		}
-		pctx, rep, err := buildDegradedContext(ctx.Opts, cfg, rate)
+		pctx, rep, err := newContext(ctx.Opts, func(w *osint.World) osint.FallibleServices {
+			return osint.NewChaosStack(w, cfg.ChaosSeed, rate, cfg.TransientRate)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("eval: robustness at rate %.2f: %w", rate, err)
 		}
@@ -175,41 +175,4 @@ func RunRobustness(ctx *Context, cfg RobustnessConfig) (*RobustnessResult, error
 		}
 	}
 	return res, nil
-}
-
-// buildDegradedContext builds a fresh world and TKG behind the fault
-// stack at the given permanent-failure rate, returning an eval context
-// over the (possibly degraded) graph plus its build report. The manual
-// clock makes retry backoff and latency spikes free.
-func buildDegradedContext(opts Options, cfg RobustnessConfig, rate float64) (*Context, *core.BuildReport, error) {
-	w := osint.NewWorld(opts.World)
-	trainMonths := opts.World.Months - opts.StudyMonths
-	if trainMonths < 1 {
-		return nil, nil, fmt.Errorf("%d months with %d study months leaves no training window",
-			opts.World.Months, opts.StudyMonths)
-	}
-	clock := osint.NewManualClock(time.Unix(0, 0)).AutoAdvance(time.Millisecond)
-	chaos := osint.NewChaosServices(w, osint.ChaosConfig{
-		Seed:                    cfg.ChaosSeed,
-		PermanentRate:           rate,
-		TransientRate:           cfg.TransientRate,
-		MaxConsecutiveTransient: 3,
-		Clock:                   clock,
-	})
-	rcfg := osint.DefaultResilienceConfig()
-	rcfg.Clock = clock
-	rcfg.MaxAttempts = 5
-	tkg := core.NewTKGFallible(osint.NewResilientServices(chaos, rcfg), w.Resolver(), core.DefaultBuildConfig())
-	rep, err := tkg.Build(w.PulsesInMonths(0, trainMonths))
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Context{
-		Opts:        opts,
-		World:       w,
-		TKG:         tkg,
-		Classes:     len(w.Roster()),
-		Names:       w.Resolver().Names(),
-		TrainMonths: trainMonths,
-	}, rep, nil
 }

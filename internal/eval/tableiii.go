@@ -79,9 +79,11 @@ type IOCAttributionCell struct {
 type TableIIIResult struct {
 	Cells   []IOCAttributionCell
 	Samples map[graph.NodeKind]int
+	// Folds is the cross-validation fold count behind each mean.
+	Folds int
 }
 
-// cell returns the cell for (model, kind), or nil.
+// Cell returns the cell for (model, kind), or nil.
 func (r *TableIIIResult) Cell(m ModelName, k graph.NodeKind) *IOCAttributionCell {
 	for i := range r.Cells {
 		if r.Cells[i].Model == m && r.Cells[i].Kind == k {
@@ -94,7 +96,7 @@ func (r *TableIIIResult) Cell(m ModelName, k graph.NodeKind) *IOCAttributionCell
 // Render prints the Table III grid.
 func (r *TableIIIResult) Render() string {
 	var b strings.Builder
-	b.WriteString("Table III: Individual IOC attribution (5-fold mean)\n")
+	fmt.Fprintf(&b, "Table III: Individual IOC attribution (%d-fold mean)\n", r.Folds)
 	fmt.Fprintf(&b, "%-6s", "Model")
 	for _, k := range iocKinds() {
 		fmt.Fprintf(&b, " %8s-Acc %8s-BAcc", k, k)
@@ -126,9 +128,6 @@ type TableIIIConfig struct {
 	// UseSMOTE applies minority oversampling to the training folds (the
 	// paper's preprocessing; disabling it is an ablation).
 	UseSMOTE bool
-	// MaxTrainRows caps the post-SMOTE training set per fold (0 = no
-	// cap); keeps the pure-Go models tractable at larger world scales.
-	MaxTrainRows int
 	// Models restricts the roster (nil = all three).
 	Models []ModelName
 	// Kinds restricts the IOC kinds (nil = all three).
@@ -137,8 +136,12 @@ type TableIIIConfig struct {
 
 // DefaultTableIIIConfig mirrors the paper's preprocessing.
 func DefaultTableIIIConfig() TableIIIConfig {
-	return TableIIIConfig{UseSMOTE: true, MaxTrainRows: 3000}
+	return TableIIIConfig{UseSMOTE: true}
 }
+
+// tableIIIMaxRows caps the post-SMOTE training set per fold, keeping the
+// pure-Go models tractable at larger world scales.
+const tableIIIMaxRows = 3000
 
 // RunTableIII trains XGB, NN and RF on each IOC kind's feature matrix
 // with stratified k-fold cross-validation, SMOTE oversampling and
@@ -152,7 +155,7 @@ func RunTableIII(ctx *Context, cfg TableIIIConfig) (*TableIIIResult, error) {
 	if kinds == nil {
 		kinds = iocKinds()
 	}
-	res := &TableIIIResult{Samples: make(map[graph.NodeKind]int)}
+	res := &TableIIIResult{Samples: make(map[graph.NodeKind]int), Folds: ctx.Opts.Folds}
 	for _, kind := range kinds {
 		X, y, err := ctx.LabeledFeatureMatrix(kind)
 		if err != nil {
@@ -171,8 +174,8 @@ func RunTableIII(ctx *Context, cfg TableIIIConfig) (*TableIIIResult, error) {
 				if cfg.UseSMOTE {
 					Xtr, ytr = ml.SMOTE(ctx.rng(200+int64(fi)), Xtr, ytr, ctx.Classes, 5)
 				}
-				if cfg.MaxTrainRows > 0 && Xtr.Rows > cfg.MaxTrainRows {
-					keep := ctx.rng(300 + int64(fi)).Perm(Xtr.Rows)[:cfg.MaxTrainRows]
+				if Xtr.Rows > tableIIIMaxRows {
+					keep := ctx.rng(300 + int64(fi)).Perm(Xtr.Rows)[:tableIIIMaxRows]
 					Xtr, ytr = Xtr.SelectRows(keep), selectInts(ytr, keep)
 				}
 				scaler := ml.FitScaler(Xtr)

@@ -1,14 +1,13 @@
 package eval
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 
 	"trail/internal/gnn"
 	"trail/internal/graph"
-	"trail/internal/labelprop"
 	"trail/internal/mat"
 	"trail/internal/ml"
 )
@@ -54,27 +53,17 @@ type TableIVConfig struct {
 	// LPLayers and GNNLayers list the propagation depths to evaluate.
 	LPLayers  []int
 	GNNLayers []int
-	// GNN capacity knobs.
-	GNNEpochs int
-	GNNHidden int
-	AE        gnn.AEConfig
-	// MaxTrainRows caps per-kind IOC training sets for the traditional
-	// models.
-	MaxTrainRows int
 }
 
 // DefaultTableIVConfig mirrors the paper's roster: XGB/NN/RF, LP 2-4L,
 // GNN 2-4L.
 func DefaultTableIVConfig() TableIVConfig {
-	return TableIVConfig{
-		LPLayers:     []int{2, 3, 4},
-		GNNLayers:    []int{2, 3, 4},
-		GNNEpochs:    80,
-		GNNHidden:    64,
-		AE:           gnn.DefaultAEConfig(),
-		MaxTrainRows: 1500,
-	}
+	return TableIVConfig{LPLayers: []int{2, 3, 4}, GNNLayers: []int{2, 3, 4}}
 }
+
+// modeVoteMaxRows caps the per-kind IOC training sets of the traditional
+// models in the mode vote.
+const modeVoteMaxRows = 1500
 
 // RunTableIV evaluates all event-attribution approaches with stratified
 // k-fold cross-validation over the event nodes.
@@ -83,139 +72,89 @@ func RunTableIV(ctx *Context, cfg TableIVConfig) (*TableIVResult, error) {
 		cfg = DefaultTableIVConfig()
 		cfg.Models = TraditionalModels()
 	}
-	if ctx.Opts.Fast {
-		if cfg.GNNEpochs > 15 {
-			cfg.GNNEpochs = 15
-		}
-		cfg.GNNHidden = 24
-		cfg.AE.Epochs = 2
-		cfg.AE.Hidden = 32
-	}
-
-	events, labels := ctx.eventLabels()
+	events := ctx.TKG.EventNodes()
 	if len(events) < ctx.Opts.Folds*2 {
 		return nil, fmt.Errorf("eval: only %d events; need at least %d", len(events), ctx.Opts.Folds*2)
 	}
-	folds := ml.StratifiedKFold(ctx.rng(400), labels, ctx.Opts.Folds)
-	csr := ctx.TKG.G.CSR()
-
+	folds := ctx.kfold(ctx.TKG, 400)
 	res := &TableIVResult{Events: len(events)}
+	addRow := func(name string, accs, baccs []float64) {
+		res.Rows = append(res.Rows, EventAttributionRow{
+			Name: name, Acc: ml.Summarize(accs), BAcc: ml.Summarize(baccs),
+		})
+	}
 
 	// Traditional ML: per-IOC classification + mode vote per event.
 	for _, m := range cfg.Models {
 		var accs, baccs []float64
-		for fi, test := range folds {
-			train := ml.Complement(len(events), test)
-			pred, truth, err := ctx.modeVoteAttribution(m, events, labels, train, test, cfg, int64(fi))
+		for fi, s := range folds {
+			pred, err := ctx.modeVoteAttribution(m, s, int64(fi))
 			if err != nil {
 				return nil, err
 			}
-			accs = append(accs, ml.Accuracy(truth, pred))
-			baccs = append(baccs, ml.BalancedAccuracy(truth, pred, ctx.Classes))
+			accs = append(accs, ml.Accuracy(s.truth, pred))
+			baccs = append(baccs, ml.BalancedAccuracy(s.truth, pred, ctx.Classes))
 		}
-		res.Rows = append(res.Rows, EventAttributionRow{
-			Name: string(m), Acc: ml.Summarize(accs), BAcc: ml.Summarize(baccs),
-		})
+		addRow(string(m), accs, baccs)
 	}
 
 	// Label propagation at each depth.
 	for _, layers := range cfg.LPLayers {
-		var accs, baccs []float64
-		for _, test := range folds {
-			train := ml.Complement(len(events), test)
-			seeds := make(map[graph.NodeID]int, len(train))
-			for _, ti := range train {
-				seeds[events[ti]] = labels[ti]
-			}
-			queries := make([]graph.NodeID, len(test))
-			truth := make([]int, len(test))
-			for i, te := range test {
-				queries[i] = events[te]
-				truth[i] = labels[te]
-			}
-			pred := labelprop.AttributeCSR(csr, seeds, queries, ctx.Classes, layers)
-			accs = append(accs, ml.Accuracy(truth, pred))
-			baccs = append(baccs, ml.BalancedAccuracy(truth, pred, ctx.Classes))
-		}
-		res.Rows = append(res.Rows, EventAttributionRow{
-			Name: fmt.Sprintf("LP %dL", layers),
-			Acc:  ml.Summarize(accs), BAcc: ml.Summarize(baccs),
-		})
+		accs, baccs := ctx.lpSplits(ctx.TKG, folds, layers)
+		addRow(fmt.Sprintf("LP %dL", layers), accs, baccs)
 	}
 
-	// GraphSAGE at each depth. The autoencoders are shared across folds
-	// and depths: they are unsupervised and see no labels, so there is no
-	// leakage.
+	// GraphSAGE at each depth, one fold per goroutine. The autoencoders
+	// are shared across folds and depths: they are unsupervised and see
+	// no labels, so there is no leakage.
 	if len(cfg.GNNLayers) > 0 {
-		set, err := gnn.TrainEncodersCtx(context.TODO(), ctx.TKG.G, ctx.TKG.Features, cfg.AE, gnn.EncoderTrainOpts{})
+		set, err := ctx.encoders()
 		if err != nil {
 			return nil, err
 		}
 		in := gnn.BuildInput(ctx.TKG.G, ctx.TKG.Features, set, ctx.Classes)
 		for _, layers := range cfg.GNNLayers {
+			// Table IV trains longer than the other experiments: 80
+			// epochs, or 15 at 24 hidden units in Fast mode.
+			gcfg := ctx.GNNConfig(layers)
+			gcfg.Epochs = 80
+			if ctx.Opts.Fast {
+				gcfg.Hidden, gcfg.Epochs = 24, 15
+			}
 			accs := make([]float64, len(folds))
 			baccs := make([]float64, len(folds))
 			errs := make([]error, len(folds))
 			var wg sync.WaitGroup
-			for fi, test := range folds {
+			for fi, s := range folds {
 				wg.Add(1)
-				go func(fi int, test []int) {
+				go func(fi int, s split, gcfg gnn.Config) {
 					defer wg.Done()
-					train := ml.Complement(len(events), test)
-					trainIDs := make([]graph.NodeID, len(train))
-					visible := make(map[graph.NodeID]int, len(train))
-					for i, ti := range train {
-						trainIDs[i] = events[ti]
-						visible[events[ti]] = labels[ti]
-					}
-					gcfg := gnn.Config{
-						Layers:   layers,
-						Hidden:   cfg.GNNHidden,
-						Encoding: cfg.AE.Encoding,
-						LR:       1e-2,
-						Epochs:   cfg.GNNEpochs,
-						Seed:     ctx.Opts.Seed + int64(fi),
-					}
-					model, err := gnn.TrainCtx(in, trainIDs, gcfg, gnn.TrainOpts{})
+					gcfg.Seed += int64(fi)
+					model, err := gnn.TrainCtx(in, s.train, gcfg, gnn.TrainOpts{})
 					if err != nil {
 						errs[fi] = err
 						return
 					}
-					queries := make([]graph.NodeID, len(test))
-					truth := make([]int, len(test))
-					for i, te := range test {
-						queries[i] = events[te]
-						truth[i] = labels[te]
-					}
-					pred := model.Predict(in, visible, queries)
-					accs[fi] = ml.Accuracy(truth, pred)
-					baccs[fi] = ml.BalancedAccuracy(truth, pred, ctx.Classes)
-				}(fi, test)
+					pred := model.Predict(in, s.seeds, s.queries)
+					accs[fi] = ml.Accuracy(s.truth, pred)
+					baccs[fi] = ml.BalancedAccuracy(s.truth, pred, ctx.Classes)
+				}(fi, s, gcfg)
 			}
 			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
+			if err := errors.Join(errs...); err != nil {
+				return nil, err
 			}
-			res.Rows = append(res.Rows, EventAttributionRow{
-				Name: fmt.Sprintf("GNN %dL", layers),
-				Acc:  ml.Summarize(accs), BAcc: ml.Summarize(baccs),
-			})
+			addRow(fmt.Sprintf("GNN %dL", layers), accs, baccs)
 		}
 	}
 	return res, nil
 }
 
 // modeVoteAttribution implements the paper's traditional-ML event
-// attribution: classify every first-order IOC of an event individually,
-// then output the mode of the predictions.
-func (c *Context) modeVoteAttribution(m ModelName, events []graph.NodeID, labels []int, train, test []int, cfg TableIVConfig, foldSeed int64) (pred, truth []int, err error) {
-	inTrain := make(map[graph.NodeID]bool, len(train))
-	for _, ti := range train {
-		inTrain[events[ti]] = true
-	}
-
+// attribution: classify every first-order IOC of a query event
+// individually, then output the mode of the predictions. Only the
+// split's seed events label the training IOCs.
+func (c *Context) modeVoteAttribution(m ModelName, s split, foldSeed int64) ([]int, error) {
 	// Per-kind training data labelled only from training events.
 	type kindData struct {
 		rows [][]float64
@@ -238,7 +177,7 @@ func (c *Context) modeVoteAttribution(m ModelName, events []graph.NodeID, labels
 		label := -1
 		pure := true
 		c.TKG.G.NeighborEdges(n.ID, func(to graph.NodeID, et graph.EdgeType, _ bool) bool {
-			if et != graph.EdgeInReport || !inTrain[to] {
+			if _, seed := s.seeds[to]; et != graph.EdgeInReport || !seed {
 				return true
 			}
 			l := c.TKG.G.Node(to).Label
@@ -263,21 +202,21 @@ func (c *Context) modeVoteAttribution(m ModelName, events []graph.NodeID, labels
 			continue
 		}
 		X, y := mat.FromRows(kd.rows), kd.y
-		if cfg.MaxTrainRows > 0 && X.Rows > cfg.MaxTrainRows {
-			keep := c.rng(500 + foldSeed).Perm(X.Rows)[:cfg.MaxTrainRows]
+		if X.Rows > modeVoteMaxRows {
+			keep := c.rng(500 + foldSeed).Perm(X.Rows)[:modeVoteMaxRows]
 			X, y = X.SelectRows(keep), selectInts(y, keep)
 		}
 		scaler := ml.FitScaler(X)
 		model := newModel(m, c.Classes, c.Opts.Seed+foldSeed, c.Opts.Fast)
 		if err := model.Fit(scaler.Transform(X), y); err != nil {
-			return nil, nil, fmt.Errorf("eval: mode-vote %s on %s: %w", m, kind, err)
+			return nil, fmt.Errorf("eval: mode-vote %s on %s: %w", m, kind, err)
 		}
 		models[kind] = model
 		scalers[kind] = scaler
 	}
 
-	for _, te := range test {
-		ev := events[te]
+	pred := make([]int, len(s.queries))
+	for i, ev := range s.queries {
 		var votes []int
 		c.TKG.G.NeighborEdges(ev, func(to graph.NodeID, et graph.EdgeType, _ bool) bool {
 			if et != graph.EdgeInReport {
@@ -296,8 +235,7 @@ func (c *Context) modeVoteAttribution(m ModelName, events []graph.NodeID, labels
 			votes = append(votes, ml.Predict(model, X)[0])
 			return true
 		})
-		pred = append(pred, ml.Mode(votes))
-		truth = append(truth, labels[te])
+		pred[i] = ml.Mode(votes)
 	}
-	return pred, truth, nil
+	return pred, nil
 }

@@ -82,6 +82,26 @@ func NewChaosServices(inner Services, cfg ChaosConfig) *ChaosServices {
 	}
 }
 
+// NewChaosStack is the fault stack behind the degradation experiments
+// and the CLI's -chaos/-transient flags: inner -> chaos injector (at most
+// 3 transient faults in a row per key) -> retry/breaker middleware (5
+// attempts), both on one auto-advancing manual clock so backoff costs no
+// wall time. Its behaviour is a pure function of seed.
+func NewChaosStack(inner Services, seed int64, permanent, transient float64) *ResilientServices {
+	clock := NewManualClock(time.Unix(0, 0)).AutoAdvance(time.Millisecond)
+	chaos := NewChaosServices(inner, ChaosConfig{
+		Seed:                    seed,
+		PermanentRate:           permanent,
+		TransientRate:           transient,
+		MaxConsecutiveTransient: 3,
+		Clock:                   clock,
+	})
+	rcfg := DefaultResilienceConfig()
+	rcfg.Clock = clock
+	rcfg.MaxAttempts = 5
+	return NewResilientServices(chaos, rcfg)
+}
+
 // Counters returns a snapshot of the injection counters.
 func (c *ChaosServices) Counters() ChaosCounters {
 	c.mu.Lock()
