@@ -18,7 +18,7 @@ type pending struct {
 	done chan result
 }
 
-// result is one demuxed answer: the snapshot the inference ran on (for
+// result is one demuxed answer: the snapshot the answer came from (for
 // epoch/precision reporting), the resolved node, and its probability
 // row. err is set instead when the key did not resolve.
 type result struct {
@@ -28,7 +28,7 @@ type result struct {
 	err   error
 }
 
-// batcher coalesces concurrent requests into shared inference batches.
+// batcher coalesces concurrent requests into shared batches.
 // The worker goroutine blocks for the first request, then keeps
 // collecting until the batch is full or maxWait has elapsed since that
 // first arrival — the classic max-batch/max-wait coalescing queue. With

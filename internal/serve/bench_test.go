@@ -6,11 +6,12 @@ import (
 	"trail/internal/graph"
 )
 
-// The serving-layer headline numbers: one coalesced forward pass over 32
-// queries versus 32 single-query passes. The batched path amortises the
-// full-graph message passing (which dominates and is query-count
-// independent) across the batch, so it should hold a multiple-x
-// throughput advantage — the gate BENCH_7.json records.
+// The serving-layer micro-benchmarks. A snapshot answers from the table
+// NewSnapshot materialised, so Batch32 (one 32-query call) and Single32
+// (32 one-query calls) both time row copies out of that table: their
+// ratio is call overhead, not forward-pass amortisation. The names stay
+// so bench-check keeps pairing them with the recorded baseline. The
+// forward cost now lives in BenchmarkServeSnapshotBuild.
 
 func benchQueries(b *testing.B, n int) (*Snapshot, []graph.NodeID) {
 	snap := fixture(b).snapshot64(b)
@@ -46,4 +47,16 @@ func BenchmarkServeAttributeSingle32(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(queries)*b.N)/b.Elapsed().Seconds(), "queries/s")
+}
+
+// BenchmarkServeSnapshotBuild times NewSnapshot at the serving default
+// precision (float32): input build plus the one full-graph forward pass
+// that fills the answer table — the cost every reload and ingest publish
+// pays.
+func BenchmarkServeSnapshotBuild(b *testing.B) {
+	f := fixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.snapshot32(b)
+	}
 }

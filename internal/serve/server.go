@@ -20,11 +20,12 @@ import (
 // Config carries the operational knobs of the attribution server. Zero
 // values select the documented defaults.
 type Config struct {
-	// MaxBatch caps how many requests share one forward pass (default 32).
+	// MaxBatch caps how many requests share one batch (default 32).
 	MaxBatch int
 	// MaxWait bounds how long the batcher holds a batch open after its
-	// first request arrives (default 2ms; 0 disables the deliberate wait
-	// but opportunistic coalescing of queued bursts remains).
+	// first request arrives (0 selects the default 2ms; a negative value
+	// disables the deliberate wait, but opportunistic coalescing of
+	// queued bursts remains).
 	MaxWait time.Duration
 	// Timeout is the per-request budget from admission to answer
 	// (default 5s).
@@ -88,7 +89,7 @@ func (c *Config) fill() {
 }
 
 // Server is the attribution daemon: an atomic snapshot pointer, a
-// coalescing batcher feeding the snapshot's inference engine, and the
+// coalescing batcher reading the snapshot's answer table, and the
 // HTTP surface (/v1/attribute, /v1/stats, /v1/reload, /v1/sample,
 // /healthz, /metrics).
 type Server struct {
@@ -116,6 +117,7 @@ type serveMetrics struct {
 	batchSize     *metrics.Histogram
 	attrLatency   *metrics.Histogram
 	inferLatency  *metrics.Histogram
+	buildLatency  *metrics.Histogram
 	inflight      *metrics.Gauge
 	snapshotEpoch *metrics.Gauge
 	reloads       *metrics.Counter
@@ -151,18 +153,21 @@ func (s *Server) initMetrics() {
 	s.met.attrRequests = r.Counter("trail_attribute_requests_total",
 		"Attribution queries admitted to the batching queue.")
 	s.met.attrBatched = r.Counter("trail_attribute_batched_requests_total",
-		"Attribution queries that shared a forward pass with at least one other query.")
+		"Attribution queries that shared a batch with at least one other query.")
 	s.met.attrErrors = r.CounterVec("trail_attribute_errors_total",
 		"Attribution queries that failed, by error code.", "code")
 	s.met.batches = r.Counter("trail_attribute_batches_total",
-		"Forward-pass batches executed.")
+		"Attribution batches executed.")
 	s.met.batchSize = r.Histogram("trail_attribute_batch_size",
-		"Requests coalesced per forward pass.",
+		"Requests coalesced per batch.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
 	s.met.attrLatency = r.Histogram("trail_attribute_latency_seconds",
 		"End-to-end attribution latency (admission to answer).", metrics.DefBuckets())
 	s.met.inferLatency = r.Histogram("trail_inference_seconds",
-		"Forward-pass duration per batch.", metrics.DefBuckets())
+		"Answer-table lookup per batch.", metrics.DefBuckets())
+	s.met.buildLatency = r.Histogram("trail_snapshot_build_seconds",
+		"Snapshot construction time (input build and the forward pass that fills its answer table).",
+		[]float64{.01, .05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60})
 	s.met.inflight = r.Gauge("trail_inflight_requests",
 		"HTTP requests currently being served.")
 	s.met.snapshotEpoch = r.Gauge("trail_snapshot_epoch",
@@ -198,6 +203,7 @@ func (s *Server) install(snap *Snapshot) {
 	s.met.snapshotEpoch.Set(float64(snap.Epoch))
 	s.met.nodes.Set(float64(snap.NumNodes))
 	s.met.events.Set(float64(snap.NumEvents))
+	s.met.buildLatency.Observe(snap.BuildTime().Seconds())
 }
 
 // Snapshot returns the currently installed snapshot.
@@ -246,14 +252,14 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // serveBatch answers one coalesced batch. The snapshot pointer is
 // loaded exactly once, so every request in the batch — resolution,
-// inference and reported epoch — sees one consistent state even if a
+// answer rows and reported epoch — sees one consistent state even if a
 // reload lands mid-flight.
 func (s *Server) serveBatch(batch []*pending) {
 	snap := s.snap.Load()
 	live := batch[:0]
 	for _, p := range batch {
 		if p.ctx.Err() != nil {
-			continue // caller already gone; skip its inference cost
+			continue // caller already gone
 		}
 		live = append(live, p)
 	}
@@ -261,34 +267,20 @@ func (s *Server) serveBatch(batch []*pending) {
 		return
 	}
 
-	// Resolve each key against the batch snapshot, deduplicating repeated
-	// nodes onto one shared inference row.
-	rowOf := make(map[graph.NodeID]int, len(live))
-	nodeOf := make([]graph.NodeID, len(live))
-	resolved := make([]bool, len(live))
-	var queries []graph.NodeID
+	// Resolve each key and copy its answer row from the batch snapshot.
+	res := make([]result, len(live))
+	t0 := time.Now()
 	for i, p := range live {
 		id, ok := snap.Lookup(p.kind, p.key)
 		if !ok {
+			res[i] = result{snap: snap, err: errNotFound}
 			continue
 		}
-		resolved[i], nodeOf[i] = true, id
-		if _, seen := rowOf[id]; !seen {
-			rowOf[id] = len(queries)
-			queries = append(queries, id)
-		}
+		probs := make([]float64, snap.Classes())
+		snap.Attribute([]graph.NodeID{id}, [][]float64{probs})
+		res[i] = result{snap: snap, node: id, probs: probs}
 	}
-
-	var out [][]float64
-	if len(queries) > 0 {
-		out = make([][]float64, len(queries))
-		for i := range out {
-			out[i] = make([]float64, snap.Classes())
-		}
-		t0 := time.Now()
-		snap.Attribute(queries, out)
-		s.met.inferLatency.Observe(time.Since(t0).Seconds())
-	}
+	s.met.inferLatency.Observe(time.Since(t0).Seconds())
 
 	s.met.batches.Inc()
 	s.met.batchSize.Observe(float64(len(live)))
@@ -296,11 +288,7 @@ func (s *Server) serveBatch(batch []*pending) {
 		s.met.attrBatched.Add(uint64(len(live)))
 	}
 	for i, p := range live {
-		if !resolved[i] {
-			p.done <- result{snap: snap, err: errNotFound}
-			continue
-		}
-		p.done <- result{snap: snap, node: nodeOf[i], probs: out[rowOf[nodeOf[i]]]}
+		p.done <- res[i]
 	}
 }
 

@@ -161,6 +161,24 @@ func TestServerAttributeErrors(t *testing.T) {
 	}
 }
 
+// TestConfigFillMaxWait: a zero MaxWait selects the 2ms default, a
+// negative one survives fill to reach the batcher's no-wait path, and a
+// positive one is kept.
+func TestConfigFillMaxWait(t *testing.T) {
+	for _, tc := range []struct{ in, want time.Duration }{
+		{0, 2 * time.Millisecond},
+		{-1, -1},
+		{-time.Second, -time.Second},
+		{5 * time.Millisecond, 5 * time.Millisecond},
+	} {
+		c := Config{MaxWait: tc.in}
+		c.fill()
+		if c.MaxWait != tc.want {
+			t.Errorf("fill(MaxWait %v) = %v, want %v", tc.in, c.MaxWait, tc.want)
+		}
+	}
+}
+
 func TestServerStatsSampleHealthMetrics(t *testing.T) {
 	f := fixture(t)
 	srv, ts := newTestServer(t, Config{MaxWait: time.Millisecond}, f.loader())
@@ -214,6 +232,7 @@ func TestServerStatsSampleHealthMetrics(t *testing.T) {
 		"trail_attribute_requests_total 1",
 		"trail_attribute_batches_total 1",
 		"trail_attribute_latency_seconds_count 1",
+		"trail_snapshot_build_seconds_count 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, text)

@@ -5,17 +5,18 @@
 // The design (DESIGN.md §3g) rests on three pieces:
 //
 //   - Snapshot isolation: every query reads an immutable Snapshot — a
-//     frozen graph, encoded features, and a trained model — held behind
-//     an atomic pointer. Reloads build the next snapshot off to the side
-//     and swap the pointer; in-flight requests keep the epoch they
-//     started on, so answers within one epoch are bit-identical and a
-//     swap can never tear a read.
+//     frozen graph and the answer table one full-graph forward pass
+//     computed over it — held behind an atomic pointer. Reloads build
+//     the next snapshot off to the side and swap the pointer; in-flight
+//     requests keep the epoch they started on, so answers within one
+//     epoch are bit-identical and a swap can never tear a read.
 //
-//   - Request batching: concurrent attribute requests coalesce in a
-//     queue and share one full-graph forward pass
-//     (gnn.PredictProbaInto), amortising the pooled workspaces and fused
-//     SpMM kernels across the batch; softmax rows are demuxed back to
-//     each caller.
+//   - Materialised answers: the model is transductive, so one forward
+//     pass (gnn.PredictProbaInto over every node) scores the whole graph
+//     at once. NewSnapshot runs it and keeps the softmax rows; answering
+//     a query is a row copy. Concurrent requests still coalesce in a
+//     batching queue, which now only amortises the per-batch snapshot
+//     load and resolution, not inference.
 //
 //   - Operational hardening: graceful drain on shutdown, per-request
 //     timeouts, request-size limits, structured JSON errors, and
@@ -46,10 +47,10 @@ const (
 	ModelF32File = "model.f32.ck" // float32 serving model (preferred when present)
 )
 
-// Snapshot is one immutable serving state: the frozen graph, the encoded
-// input tensors, the trained model, and the label context. All fields
-// are read-only after construction; the server publishes snapshots via
-// an atomic pointer and never mutates an installed one.
+// Snapshot is one immutable serving state: the frozen graph, the label
+// context, and the answer table the trained model computes over them.
+// All fields are read-only after construction; the server publishes
+// snapshots via an atomic pointer and never mutates an installed one.
 type Snapshot struct {
 	// Epoch numbers the snapshot within the serving process (assigned at
 	// install time, monotonically increasing across reloads). Answers are
@@ -65,39 +66,10 @@ type Snapshot struct {
 	// Inventory, for /v1/stats.
 	NumNodes, NumEdges, NumEvents, NumLabeled int
 
-	g   *graph.Graph
-	eng engine
-}
-
-// engine is the precision-erased inference core of a snapshot: the
-// generic model/input pair behind a monomorphic call surface, so the
-// batcher and HTTP layer never carry a type parameter.
-type engine interface {
-	classes() int
-	// attribute runs one batched forward pass and writes one probability
-	// row (len == classes) per query into out.
-	attribute(queries []graph.NodeID, out [][]float64)
-}
-
-type engineOf[T mat.Float] struct {
-	model   *gnn.ModelOf[T]
-	in      gnn.InputOf[T]
-	visible map[graph.NodeID]int
-}
-
-func (e *engineOf[T]) classes() int { return e.model.Classes() }
-
-func (e *engineOf[T]) attribute(queries []graph.NodeID, out [][]float64) {
-	ws := mat.NewWorkspaceOf[T]()
-	defer ws.Release()
-	dst := mat.NewOf[T](len(queries), e.model.Classes())
-	e.model.PredictProbaInto(dst, e.in, e.visible, queries, ws)
-	for i := range queries {
-		row := dst.Row(i)
-		for j, v := range row {
-			out[i][j] = float64(v)
-		}
-	}
+	g         *graph.Graph
+	classes   int
+	table     []float64 // NumNodes x classes softmax rows, row-major by node ID
+	buildTime time.Duration
 }
 
 func precisionOf[T mat.Float]() string {
@@ -115,13 +87,16 @@ func precisionOf[T mat.Float]() string {
 // feature vectors, the APT roster, a trained encoder set and a trained
 // model of any precision. The visible-label context is fixed here — every
 // labelled event in the graph — so an answer depends only on the snapshot
-// and the queried node, never on what else happens to share its batch.
-// The construction runs one warm-up query to prime the lazy CSR operator
-// caches (mean normalisation, degree reordering) and to verify the
-// model/input shapes agree before the snapshot starts serving.
+// and the queried node. Because the model is transductive, one
+// full-graph forward pass scores every node under that context: the
+// constructor runs it once (gnn.PredictProbaInto over all node IDs) and
+// keeps the softmax rows as the snapshot's answer table, widened to
+// float64 exactly as Attribute returns them.
 func NewSnapshot[T mat.Float](g *graph.Graph, feats map[graph.NodeID][]float64, names []string, enc *gnn.EncoderSet, model *gnn.ModelOf[T]) (*Snapshot, error) {
-	if model.Classes() != len(names) {
-		return nil, fmt.Errorf("serve: model predicts %d classes, roster has %d", model.Classes(), len(names))
+	start := time.Now()
+	classes := model.Classes()
+	if classes != len(names) {
+		return nil, fmt.Errorf("serve: model predicts %d classes, roster has %d", classes, len(names))
 	}
 	in := gnn.CastInput[T](gnn.BuildInput(g, feats, enc, len(names)))
 	events := g.NodesOfKind(graph.KindEvent)
@@ -131,25 +106,40 @@ func NewSnapshot[T mat.Float](g *graph.Graph, feats map[graph.NodeID][]float64, 
 			visible[ev] = l
 		}
 	}
-	snap := &Snapshot{
+	n := g.NumNodes()
+	table := make([]float64, n*classes)
+	if n > 0 {
+		all := make([]graph.NodeID, n)
+		for i := range all {
+			all[i] = graph.NodeID(i)
+		}
+		ws := mat.NewWorkspaceOf[T]()
+		probs := model.PredictProbaInto(ws.GetDirty(n, classes), in, visible, all, ws)
+		for i, v := range probs.Data {
+			table[i] = float64(v)
+		}
+		ws.Release()
+	}
+	return &Snapshot{
 		Precision:  precisionOf[T](),
 		Names:      append([]string(nil), names...),
-		NumNodes:   g.NumNodes(),
+		NumNodes:   n,
 		NumEdges:   g.NumEdges(),
 		NumEvents:  len(events),
 		NumLabeled: len(visible),
 		g:          g,
-		eng:        &engineOf[T]{model: model, in: in, visible: visible},
-	}
-	if len(events) > 0 {
-		warm := [][]float64{make([]float64, len(names))}
-		snap.eng.attribute(events[:1], warm)
-	}
-	return snap, nil
+		classes:    classes,
+		table:      table,
+		buildTime:  time.Since(start),
+	}, nil
 }
 
 // Classes returns the number of APT classes the snapshot predicts over.
-func (s *Snapshot) Classes() int { return s.eng.classes() }
+func (s *Snapshot) Classes() int { return s.classes }
+
+// BuildTime reports how long NewSnapshot took: the input build plus the
+// forward pass that fills the answer table.
+func (s *Snapshot) BuildTime() time.Duration { return s.buildTime }
 
 // Lookup resolves a (kind, key) pair against the snapshot's frozen graph.
 func (s *Snapshot) Lookup(kind graph.NodeKind, key string) (graph.NodeID, bool) {
@@ -170,11 +160,13 @@ func (s *Snapshot) SampleKeys(kind graph.NodeKind, limit int) []string {
 	return keys
 }
 
-// Attribute answers queries directly against this snapshot, bypassing
-// the batching queue — the entry used by warm-up, tests and the
-// benchmarks. out must have one len==Classes() row per query.
+// Attribute copies each query's row of the answer table into out, which
+// must have one len==Classes() row per query. It is the entry the
+// batching queue, tests and benchmarks share; it never runs the model.
 func (s *Snapshot) Attribute(queries []graph.NodeID, out [][]float64) {
-	s.eng.attribute(queries, out)
+	for i, q := range queries {
+		copy(out[i], s.table[int(q)*s.classes:(int(q)+1)*s.classes])
+	}
 }
 
 // Loader produces a fresh Snapshot. The server calls it once at startup
