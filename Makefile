@@ -6,7 +6,7 @@ GO ?= go
 # BENCH_<n>.json when invoked without -baseline.
 BENCH_BASELINE ?= BENCH_10.json
 
-.PHONY: all build test race bench bench-kernels bench-json bench-check bench-harness vet loc deadcode chaos resume smoke serve-smoke ingest-smoke shard-smoke experiments-check
+.PHONY: all build test race bench bench-kernels bench-json bench-check bench-harness vet loc deadcode chaos resume smoke serve-smoke ingest-smoke experiments-check fuzz
 
 all: build test
 
@@ -90,15 +90,6 @@ serve-smoke:
 ingest-smoke:
 	bash scripts/ingest_smoke.sh
 
-# shard-smoke is the crash-safety gate for the sharded batch build: the
-# same `trail build -shards N` run twice — once uninterrupted, once
-# kill -9'd mid-build and restarted with -resume-shards — must produce
-# bit-identical merged snapshots, and two seeded -shard-chaos runs must
-# agree byte-for-byte with identical poisoned-shard accounting. See
-# DESIGN.md §3i.
-shard-smoke:
-	bash scripts/shard_smoke.sh
-
 # experiments-check is the byte-identity gate for refactors: `trail
 # experiments -fast -months 14 -events 12` must print exactly
 # cmd/trail/testdata/experiments_fast.golden (amd64 only; other
@@ -111,6 +102,16 @@ experiments-check:
 vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l . | tee /dev/stderr)"
+
+# fuzz runs each decoder fuzz target for 10 s (one target per
+# `go test -fuzz` call, as the go command requires) on two workers:
+# graph snapshots, /v1/attribute bodies and NDJSON pulse feeds. Seeds
+# live in the tests; a failing input lands under the package's
+# testdata/fuzz/ and re-runs in every plain `go test` from then on.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzGraphReadFrom$$' -fuzztime 10s -parallel 2 ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzAttributeBody$$' -fuzztime 10s -parallel 2 ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzScanPulses$$' -fuzztime 10s -parallel 2 ./internal/osint/
 
 # loc prints the non-test and test Go line counts per package (see
 # scripts/loc.sh); diff it across two checkouts for a change's net delta.

@@ -114,6 +114,29 @@ func cmdIngest(args []string) error {
 		}
 	}
 
+	var source func(func(osint.Pulse) error) error
+	switch *feed {
+	case "":
+		pulses := w.PulsesInMonths(*from, cfg.Months)
+		source = func(fn func(osint.Pulse) error) error {
+			for i := range pulses {
+				if err := fn(pulses[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	case "-":
+		source = func(fn func(osint.Pulse) error) error { return osint.ScanPulses(os.Stdin, fn) }
+	default:
+		f, err := os.Open(*feed)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		source = func(fn func(osint.Pulse) error) error { return osint.ScanPulses(f, fn) }
+	}
+
 	p, err := ingest.New(pcfg)
 	if err != nil {
 		return err
@@ -156,7 +179,17 @@ func cmdIngest(args []string) error {
 		go func() { srvErr <- srv.Run(ctx, *addr) }()
 	}
 
-	feedErr := runFeed(ctx, p, w, *feed, *from, cfg.Months, *rate, logf)
+	// The feed runs on its own goroutine: a read from a live stdin
+	// producer can block indefinitely, and SIGTERM must still drain the
+	// queue and checkpoint. An abandoned feed's Submit gets ErrClosed.
+	fed := make(chan error, 1)
+	go func() { fed <- runFeed(ctx, p, source, *rate, logf) }()
+	var feedErr error
+	select {
+	case feedErr = <-fed:
+	case <-ctx.Done():
+		feedErr = ctx.Err()
+	}
 	if *addr != "" {
 		if feedErr == nil && ctx.Err() == nil {
 			logf("ingest: feed drained (%d events durable) — serving until SIGTERM", p.DurableSeq())
@@ -181,49 +214,27 @@ func cmdIngest(args []string) error {
 	return closeErr
 }
 
-// runFeed submits pulses from the configured source, resuming after the
+// runFeed submits the pulses that feed yields, resuming after the
 // pipeline's durable sequence number so a restarted process never
 // re-submits events that are already in the WAL (required: duplicate
 // accounting is persisted, so re-submission would fork recovered state
-// from an uninterrupted run).
-func runFeed(ctx context.Context, p *ingest.Pipeline, w *osint.World, feed string, from, months int, rate float64, logf func(string, ...any)) error {
-	var pulses []osint.Pulse
-	switch feed {
-	case "":
-		pulses = w.PulsesInMonths(from, months)
-	case "-":
-		var err error
-		if pulses, err = osint.DecodePulses(os.Stdin); err != nil {
-			return fmt.Errorf("ingest: decode stdin feed: %w", err)
-		}
-	default:
-		f, err := os.Open(feed)
-		if err != nil {
-			return err
-		}
-		pulses, err = osint.DecodePulses(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("ingest: decode feed %s: %w", feed, err)
-		}
-	}
-
+// from an uninterrupted run). feed calls its argument once per pulse, in
+// order, as each arrives, and stops at its first error.
+func runFeed(ctx context.Context, p *ingest.Pipeline, feed func(func(osint.Pulse) error) error, rate float64, logf func(string, ...any)) error {
 	skip := p.DurableSeq()
-	if skip > uint64(len(pulses)) {
-		return fmt.Errorf("ingest: pipeline is %d events ahead of a %d-event feed — wrong feed for this state directory?",
-			skip, len(pulses))
-	}
 	if skip > 0 {
-		logf("ingest: resuming feed at event %d/%d", skip, len(pulses))
+		logf("ingest: resuming feed at event %d", skip)
 	}
-	pulses = pulses[skip:]
-
 	var tick *time.Ticker
 	if rate > 0 {
 		tick = time.NewTicker(time.Duration(float64(time.Second) / rate))
 		defer tick.Stop()
 	}
-	for i := range pulses {
+	var seen uint64
+	err := feed(func(pulse osint.Pulse) error {
+		if seen++; seen <= skip {
+			return nil
+		}
 		if tick != nil {
 			select {
 			case <-tick.C:
@@ -231,14 +242,18 @@ func runFeed(ctx context.Context, p *ingest.Pipeline, w *osint.World, feed strin
 				return ctx.Err()
 			}
 		}
-		err := p.Submit(ctx, pulses[i])
-		switch {
-		case err == nil:
-		case errors.Is(err, ingest.ErrOverloaded):
-			// Shed under pressure; the counter on /metrics records it.
-		default:
-			return err
+		err := p.Submit(ctx, pulse)
+		if errors.Is(err, ingest.ErrOverloaded) {
+			return nil // shed under pressure; the counter on /metrics records it
 		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if seen < skip {
+		return fmt.Errorf("ingest: pipeline is %d events ahead of a %d-event feed — wrong feed for this state directory?",
+			skip, seen)
 	}
 	return p.Barrier(ctx)
 }

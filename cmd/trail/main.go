@@ -6,7 +6,7 @@
 // Usage:
 //
 //	trail world       [-seed N] [-months N] [-events N] [-from N] [-out pulses.ndjson]
-//	trail build       [-seed N] [-months N] [-events N] [-out tkg.gob] [-shards N] [-resume-shards]
+//	trail build       [-seed N] [-months N] [-events N] [-out tkg.gob] [-chaos P] [-transient P]
 //	trail stats       [-seed N] [-months N] [-events N]
 //	trail train       [-seed N] [-layers N] [-epochs N] [-dir ckpt] [-resume] [-every N] [-f32]
 //	trail attribute   [-seed N] [-tkg tkg.gob] [-feed pulses.ndjson]
@@ -36,7 +36,6 @@ import (
 	"trail/internal/labelprop"
 	"trail/internal/osint"
 	"trail/internal/serve"
-	"trail/internal/shard"
 )
 
 // command is one subcommand in the registry that drives dispatch, the
@@ -143,59 +142,9 @@ func cmdBuild(args []string) error {
 	out := fs.String("out", "tkg.gob", "TKG snapshot path (graph + features)")
 	chaos := fs.Float64("chaos", 0, "permanent enrichment-failure rate injected behind the resilience middleware")
 	transient := fs.Float64("transient", 0, "transient enrichment-failure rate (absorbed by retries)")
-	shards := fs.Int("shards", 1, "partition the build into N supervised time-window shards (>1 enables the sharded pipeline)")
-	shardWorkers := fs.Int("shard-workers", 0, "concurrent shard builders (default GOMAXPROCS)")
-	shardDir := fs.String("shard-dir", "trail-shards", "per-shard checkpoint directory (shard-%04d.ck)")
-	resumeShards := fs.Bool("resume-shards", false, "reuse finished shard checkpoints in -shard-dir instead of rebuilding")
-	shardTimeout := fs.Duration("shard-timeout", 0, "per-attempt build budget for one shard (0 = no limit)")
-	shardChaos := fs.Float64("shard-chaos", 0, "shard-level fault rate: injects attempt failures (and panics/poison at half/quarter the rate) from a seeded injector")
-	shardDelay := fs.Duration("shard-delay", 0, "pause after each shard checkpoint (widens the kill window for crash tests)")
 	fs.Parse(args)
 
 	w := osint.NewWorld(*cfg)
-
-	if *shards > 1 {
-		scfg := shard.Config{
-			Shards:    *shards,
-			Workers:   *shardWorkers,
-			Dir:       *shardDir,
-			Resume:    *resumeShards,
-			Build:     core.DefaultBuildConfig(),
-			Timeout:   *shardTimeout,
-			StepDelay: *shardDelay,
-		}
-		if *chaos > 0 || *transient > 0 {
-			// Each shard (and each retry) gets a fresh stack seeded by its
-			// index, so the enrichment faults a shard sees are independent
-			// of which worker ran it or how many attempts came before.
-			scfg.Services = func(i int) osint.FallibleServices {
-				return osint.NewChaosStack(w, cfg.Seed+int64(i+1), *chaos, *transient)
-			}
-		}
-		if *shardChaos > 0 {
-			scfg.Chaos = &shard.ChaosConfig{
-				Seed:       cfg.Seed,
-				FailRate:   *shardChaos,
-				PanicRate:  *shardChaos / 2,
-				PoisonRate: *shardChaos / 4,
-			}
-		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		res, err := shard.Build(ctx, w, scfg)
-		if err != nil {
-			return err
-		}
-		if err := res.TKG.Save(*out); err != nil {
-			return err
-		}
-		fmt.Printf("built TKG: %d nodes, %d edges, %d events (%d pulses skipped)\n",
-			res.TKG.G.NumNodes(), res.TKG.G.NumEdges(), len(res.TKG.EventNodes()), res.TKG.SkippedPulses)
-		fmt.Print(res.Report.Render())
-		fmt.Println("snapshot written to", *out)
-		return nil
-	}
-
 	var tkg *core.TKG
 	if *chaos > 0 || *transient > 0 {
 		tkg = core.NewTKGFallible(osint.NewChaosStack(w, cfg.Seed, *chaos, *transient), w.Resolver(), core.DefaultBuildConfig())
@@ -217,9 +166,10 @@ func cmdBuild(args []string) error {
 }
 
 // cmdAttribute loads a TKG snapshot, merges the pulses from an NDJSON
-// feed, and attributes each one with label propagation. The snapshot must
-// have been built from the same world seed so the enrichment services
-// resolve its IOCs.
+// feed, and attributes each one with label propagation as soon as its
+// line arrives, so a live producer piped into stdin is answered as it
+// writes. The snapshot must have been built from the same world seed so
+// the enrichment services resolve its IOCs.
 func cmdAttribute(args []string) error {
 	fs := flag.NewFlagSet("attribute", flag.ExitOnError)
 	cfg := worldFlags(fs)
@@ -242,20 +192,16 @@ func cmdAttribute(args []string) error {
 		defer f.Close()
 		src = f
 	}
-	pulses, err := osint.DecodePulses(src)
-	if err != nil {
-		return err
-	}
 	names := w.Resolver().Names()
-	for _, p := range pulses {
+	return osint.ScanPulses(src, func(p osint.Pulse) error {
 		evID, err := tkg.AddPulse(p)
 		if err == core.ErrSkipped {
 			fmt.Printf("%s: skipped (no unique APT tag)\n", p.ID)
-			continue
+			return nil
 		}
 		if err != nil {
 			fmt.Printf("%s: %v\n", p.ID, err)
-			continue
+			return nil
 		}
 		tkg.FinalizeLabels()
 		seeds := tkg.EventSeeds()
@@ -266,8 +212,8 @@ func cmdAttribute(args []string) error {
 			verdict = names[pred]
 		}
 		fmt.Printf("%s: %s\n", p.ID, verdict)
-	}
-	return nil
+		return nil
+	})
 }
 
 // cmdTrain trains the production GNN (encoders + GraphSAGE) with

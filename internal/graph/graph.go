@@ -316,25 +316,6 @@ func (g *Graph) NeighborEdges(id NodeID, f func(to NodeID, t EdgeType, fwd bool)
 	}
 }
 
-// ForEachEdge calls f once per logical edge in its forward (schema)
-// direction, ordered by source node ID and then by insertion order within
-// the node — a deterministic walk, which is what lets the shard merge
-// replay one graph's edges into another and get identical adjacency on
-// every run. Iteration stops early if f returns false.
-func (g *Graph) ForEachEdge(f func(u, v NodeID, t EdgeType) bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	for u := range g.nodes {
-		for k := g.rows.start[u]; k < g.rows.end[u]; k++ {
-			if m := g.rows.meta[k]; m.fwd() {
-				if !f(NodeID(u), NodeID(g.rows.col[k]), m.typ()) {
-					return
-				}
-			}
-		}
-	}
-}
-
 // NodesOfKind returns the IDs of all nodes of kind k, in ID order.
 func (g *Graph) NodesOfKind(k NodeKind) []NodeID {
 	g.mu.RLock()
@@ -408,18 +389,6 @@ func (g *Graph) csrLocked() *sparse.Matrix {
 		g.csr = m
 	}
 	return g.csr
-}
-
-// CSRReordered returns the snapshot's cache-aware degree-descending view
-// together with the vertex permutation mapping it back to original IDs
-// (nil when the snapshot is small enough to skip reordering — see
-// sparse.ReorderMinRows). The permuted view and its normalisation caches
-// are built once per snapshot and shared, exactly like CSR itself;
-// consumers that run row-local kernels (label propagation, GNN
-// inference) execute in permuted space and scatter results back, which
-// is bit-identical to running unpermuted.
-func (g *Graph) CSRReordered() (*sparse.Matrix, *sparse.Permutation) {
-	return g.CSR().Reordered()
 }
 
 // SortedNeighborKeys returns the keys of id's neighbours sorted

@@ -344,7 +344,7 @@ func TestCSRReordered(t *testing.T) {
 	defer func() { sparse.ReorderMinRows = orig }()
 
 	sparse.ReorderMinRows = n + 1
-	if rs, p := g.CSRReordered(); p != nil || rs != g.CSR() {
+	if rs, p := g.CSR().Reordered(); p != nil || rs != g.CSR() {
 		t.Fatal("small snapshot should skip reordering")
 	}
 
@@ -359,7 +359,7 @@ func TestCSRReordered(t *testing.T) {
 	for i := 5; i+1 < n; i++ {
 		g2.AddEdge(NodeID(i), NodeID(i+1), EdgeInReport)
 	}
-	rs, p := g2.CSRReordered()
+	rs, p := g2.CSR().Reordered()
 	if p == nil {
 		t.Fatal("large snapshot should reorder")
 	}
@@ -382,7 +382,7 @@ func TestCSRReordered(t *testing.T) {
 			t.Fatalf("row %d out of degree order", r)
 		}
 	}
-	rs2, p2 := g2.CSRReordered()
+	rs2, p2 := g2.CSR().Reordered()
 	if rs2 != rs || p2 != p {
 		t.Fatal("reordered view not cached on the snapshot")
 	}
@@ -424,47 +424,5 @@ func TestTakeDirty(t *testing.T) {
 	g.Upsert(KindDomain, "x.test")
 	if got := slices.Clone(g.DrainDirty()); got != nil {
 		t.Fatalf("disabled DrainDirty = %v", got)
-	}
-}
-
-func TestForEachEdgeForwardWalk(t *testing.T) {
-	g := buildSmall(t)
-	type edge struct {
-		u, v NodeID
-		et   EdgeType
-	}
-	var got []edge
-	g.ForEachEdge(func(u, v NodeID, et EdgeType) bool {
-		got = append(got, edge{u, v, et})
-		return true
-	})
-	if len(got) != g.NumEdges() {
-		t.Fatalf("walked %d edges, graph has %d", len(got), g.NumEdges())
-	}
-	ev, _ := g.Lookup(KindEvent, "ev1")
-	ip, _ := g.Lookup(KindIP, "1.2.3.4")
-	dom, _ := g.Lookup(KindDomain, "evil.com")
-	asn, _ := g.Lookup(KindASN, "AS1")
-	want := []edge{ // source-ID-major, insertion order within source
-		{ev, ip, EdgeInReport},
-		{ip, dom, EdgeARecord},
-		{ip, asn, EdgeInGroup},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("edge %d: got %v want %v (forward direction, deterministic order)", i, got[i], want[i])
-		}
-	}
-	// Early stop.
-	n := 0
-	g.ForEachEdge(func(_, _ NodeID, _ EdgeType) bool {
-		n++
-		return false
-	})
-	if n != 1 {
-		t.Fatalf("early stop visited %d edges", n)
 	}
 }

@@ -174,8 +174,8 @@ func TestPulseEncodeDecodeRoundTrip(t *testing.T) {
 	if err := EncodePulses(&buf, pulses); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodePulses(&buf)
-	if err != nil {
+	var got []Pulse
+	if err := ScanPulses(&buf, func(p Pulse) error { got = append(got, p); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(pulses) {

@@ -1,6 +1,8 @@
 package osint
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -45,17 +47,49 @@ func EncodePulses(w io.Writer, pulses []Pulse) error {
 	return nil
 }
 
-// DecodePulses reads newline-delimited pulse JSON until EOF.
-func DecodePulses(r io.Reader) ([]Pulse, error) {
-	dec := json.NewDecoder(r)
-	var out []Pulse
-	for {
-		var p Pulse
-		if err := dec.Decode(&p); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("osint: decode pulse %d: %w", len(out), err)
+// maxPulseLine bounds one NDJSON line, so a feed that never sends a
+// newline fails with a DecodeError instead of growing the buffer without
+// limit. It is far above any pulse the world or a real OTX export holds.
+const maxPulseLine = 32 << 20
+
+// DecodeError reports the NDJSON line at which ScanPulses stopped: a line
+// that does not decode into a Pulse, a line longer than 32 MiB, or a read
+// error. Line numbers start at 1.
+type DecodeError struct {
+	Line int
+	Err  error
+}
+
+func (e *DecodeError) Error() string {
+	return fmt.Sprintf("osint: decode pulse at line %d: %v", e.Line, e.Err)
+}
+
+func (e *DecodeError) Unwrap() error { return e.Err }
+
+// ScanPulses reads newline-delimited pulse JSON from r and calls fn with
+// each pulse as soon as its line is complete, so a live producer's pulses
+// flow through before it closes r. Blank lines are skipped. It returns nil
+// at EOF, a *DecodeError at the first malformed line (every pulse before
+// it has been passed to fn), or the first error fn returns, unwrapped.
+func ScanPulses(r io.Reader, fn func(Pulse) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxPulseLine)
+	line := 1
+	for ; sc.Scan(); line++ {
+		b := bytes.TrimSpace(sc.Bytes())
+		if len(b) == 0 {
+			continue
 		}
-		out = append(out, p)
+		var p Pulse
+		if err := json.Unmarshal(b, &p); err != nil {
+			return &DecodeError{Line: line, Err: err}
+		}
+		if err := fn(p); err != nil {
+			return err
+		}
 	}
+	if err := sc.Err(); err != nil {
+		return &DecodeError{Line: line, Err: err}
+	}
+	return nil
 }
