@@ -10,7 +10,7 @@
 //	trail stats       [-seed N] [-months N] [-events N]
 //	trail train       [-seed N] [-layers N] [-epochs N] [-dir ckpt] [-resume] [-every N] [-f32]
 //	trail attribute   [-seed N] [-tkg tkg.gob] [-feed pulses.ndjson]
-//	trail serve       [-seed N] [-dir ckpt] [-addr HOST:PORT] [-max-batch N] [-max-wait D]
+//	trail serve       [-seed N] [-dir ckpt] [-addr HOST:PORT] [-topk N] [-stale-after D]
 //	trail ingest      [-seed N] [-dir state] [-feed pulses.ndjson] [-addr HOST:PORT] [-model-dir ckpt]
 //	trail loadgen     [-url URL] [-c N] [-duration D] [-out report.json]
 //	trail experiments [-seed N] [-fast] [-only table2,fig4,...] [-resume DIR] [-md EXPERIMENTS.md]

@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"testing"
-	"time"
 )
 
 // TestCommandRegistry: every command has a unique name that
@@ -38,29 +37,5 @@ func TestWorldFlags(t *testing.T) {
 	if cfg.Seed != 7 || cfg.Months != 3 || cfg.EventsPerMonth != 5 {
 		t.Fatalf("parsed config = seed %d, months %d, events %d; want 7, 3, 5",
 			cfg.Seed, cfg.Months, cfg.EventsPerMonth)
-	}
-}
-
-// TestServeFlagsMaxWait: `-max-wait 0` means no deliberate wait, which
-// serve.Config spells as a negative MaxWait (its zero value selects the
-// 2ms default); other values pass through unchanged.
-func TestServeFlagsMaxWait(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want time.Duration
-	}{
-		{nil, 2 * time.Millisecond},
-		{[]string{"-max-wait", "0"}, -1},
-		{[]string{"-max-wait", "0s"}, -1},
-		{[]string{"-max-wait", "5ms"}, 5 * time.Millisecond},
-	} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		cfg := serveFlags(fs)
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
-		}
-		if got := cfg().MaxWait; got != tc.want {
-			t.Errorf("%v: MaxWait = %v, want %v", tc.args, got, tc.want)
-		}
 	}
 }

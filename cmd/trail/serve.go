@@ -7,7 +7,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"trail/internal/osint"
 	"trail/internal/serve"
@@ -19,20 +18,21 @@ import (
 //
 // Signals: SIGHUP reloads the checkpoints into a fresh snapshot without
 // dropping in-flight requests (POST /v1/reload does the same); SIGINT
-// and SIGTERM drain gracefully — the listener stops accepting, admitted
+// and SIGTERM drain gracefully — the listener stops accepting, in-flight
 // requests are answered, then the process exits.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	cfg := worldFlags(fs)
 	addr := fs.String("addr", "127.0.0.1:8099", "listen address")
 	dir := fs.String("dir", "trail-ckpt", "checkpoint directory written by `trail train`")
-	serveCfg := serveFlags(fs)
+	maxBody := fs.Int64("max-body", 1<<20, "request body size limit in bytes")
+	topk := fs.Int("topk", 5, "default ranked predictions per answer (requests may override with top_k)")
+	staleAfter := fs.Duration("stale-after", 0, "report /healthz degraded (503) when the snapshot is older than this (0 disables)")
 	fs.Parse(args)
 
 	logf := func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 	w := osint.NewWorld(*cfg)
-	sc := serveCfg()
-	sc.Logf = logf
+	sc := serve.Config{MaxBody: *maxBody, TopK: *topk, StaleAfter: *staleAfter, Logf: logf}
 	srv, err := serve.New(sc, serve.DirLoader(*dir, w, w.Resolver(), logf))
 	if err != nil {
 		return err
@@ -52,29 +52,4 @@ func cmdServe(args []string) error {
 		}
 	}()
 	return srv.Run(ctx, *addr)
-}
-
-// serveFlags registers the serving knobs on fs; the returned func reads
-// them back as a serve.Config once fs is parsed.
-func serveFlags(fs *flag.FlagSet) func() serve.Config {
-	maxBatch := fs.Int("max-batch", 32, "max requests coalesced into one batch")
-	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "max time a batch is held open after its first request (0 disables the wait)")
-	timeout := fs.Duration("timeout", 5*time.Second, "per-request budget from admission to answer")
-	maxBody := fs.Int64("max-body", 1<<20, "request body size limit in bytes")
-	topk := fs.Int("topk", 5, "default ranked predictions per answer (requests may override with top_k)")
-	staleAfter := fs.Duration("stale-after", 0, "report /healthz degraded (503) when the snapshot is older than this (0 disables)")
-	return func() serve.Config {
-		wait := *maxWait
-		if wait == 0 {
-			wait = -1 // serve.Config reads 0 as "use the default"
-		}
-		return serve.Config{
-			MaxBatch:   *maxBatch,
-			MaxWait:    wait,
-			Timeout:    *timeout,
-			MaxBody:    *maxBody,
-			TopK:       *topk,
-			StaleAfter: *staleAfter,
-		}
-	}
 }

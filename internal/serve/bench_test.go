@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"trail/internal/graph"
@@ -11,7 +15,8 @@ import (
 // (32 one-query calls) both time row copies out of that table: their
 // ratio is call overhead, not forward-pass amortisation. The names stay
 // so bench-check keeps pairing them with the recorded baseline. The
-// forward cost now lives in BenchmarkServeSnapshotBuild.
+// forward cost now lives in BenchmarkServeSnapshotBuild, and
+// BenchmarkServeAttributeHTTP times one whole request.
 
 func benchQueries(b *testing.B, n int) (*Snapshot, []graph.NodeID) {
 	snap := fixture(b).snapshot64(b)
@@ -58,5 +63,29 @@ func BenchmarkServeSnapshotBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.snapshot32(b)
+	}
+}
+
+// BenchmarkServeAttributeHTTP drives one /v1/attribute request per
+// iteration through Server.Handler with an httptest recorder: JSON
+// decode, lookup, table-row read, ranking and JSON encode, without the
+// TCP socket.
+func BenchmarkServeAttributeHTTP(b *testing.B) {
+	srv, err := New(Config{}, fixture(b).loader())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	key := srv.Snapshot().SampleKeys(graph.KindEvent, 1)[0]
+	body, _ := json.Marshal(map[string]any{"kind": "event", "key": key})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/attribute", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
 	}
 }

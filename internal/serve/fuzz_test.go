@@ -19,7 +19,7 @@ import (
 func FuzzAttributeBody(f *testing.F) {
 	fx := fixture(f)
 	const maxBody = 256
-	srv, err := New(Config{MaxWait: -1, MaxBody: maxBody}, fx.loader())
+	srv, err := New(Config{MaxBody: maxBody}, fx.loader())
 	if err != nil {
 		f.Fatal(err)
 	}

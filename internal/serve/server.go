@@ -3,41 +3,29 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"trail/internal/graph"
 	"trail/internal/metrics"
 )
 
 // Config carries the operational knobs of the attribution server. Zero
 // values select the documented defaults.
 type Config struct {
-	// MaxBatch caps how many requests share one batch (default 32).
+	// MaxBatch is ignored: every /v1/attribute request is answered on
+	// its own handler goroutine, so there is no batch to cap.
 	MaxBatch int
-	// MaxWait bounds how long the batcher holds a batch open after its
-	// first request arrives (0 selects the default 2ms; a negative value
-	// disables the deliberate wait, but opportunistic coalescing of
-	// queued bursts remains).
-	MaxWait time.Duration
-	// Timeout is the per-request budget from admission to answer
-	// (default 5s).
-	Timeout time.Duration
 	// MaxBody caps the request body size in bytes (default 1<<20).
 	MaxBody int64
 	// TopK is the default number of ranked predictions per answer
 	// (default 5; requests may override, 0 means all classes).
 	TopK int
-	// QueueDepth sizes the admission queue (default 4*MaxBatch); a full
-	// queue sheds load as 503 rather than buffering unboundedly.
-	QueueDepth int
 	// DrainTimeout bounds the graceful shutdown drain (default 10s).
 	DrainTimeout time.Duration
 	// Logf, when set, receives operational notices (reloads, lifecycle).
@@ -62,23 +50,11 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 5 * time.Second
-	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = 1 << 20
 	}
 	if c.TopK == 0 {
 		c.TopK = 5
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.MaxBatch
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
@@ -88,8 +64,8 @@ func (c *Config) fill() {
 	}
 }
 
-// Server is the attribution daemon: an atomic snapshot pointer, a
-// coalescing batcher reading the snapshot's answer table, and the
+// Server is the attribution daemon: an atomic snapshot pointer whose
+// answer table each request reads on its own handler goroutine, and the
 // HTTP surface (/v1/attribute, /v1/stats, /v1/reload, /v1/sample,
 // /healthz, /metrics).
 type Server struct {
@@ -100,7 +76,7 @@ type Server struct {
 	nextEpoch atomic.Uint64
 	reloadMu  sync.Mutex // serialises Reload; readers never take it
 
-	bat     *batcher
+	closed  atomic.Bool
 	start   time.Time
 	handler http.Handler
 
@@ -111,12 +87,8 @@ type Server struct {
 type serveMetrics struct {
 	httpRequests  *metrics.CounterVec // path, code
 	attrRequests  *metrics.Counter
-	attrBatched   *metrics.Counter
 	attrErrors    *metrics.CounterVec // code
-	batches       *metrics.Counter
-	batchSize     *metrics.Histogram
 	attrLatency   *metrics.Histogram
-	inferLatency  *metrics.Histogram
 	buildLatency  *metrics.Histogram
 	inflight      *metrics.Gauge
 	snapshotEpoch *metrics.Gauge
@@ -125,9 +97,9 @@ type serveMetrics struct {
 	nodes, events *metrics.Gauge
 }
 
-// New builds a server, loads the initial snapshot via load, and starts
-// the batch worker. Callers own shutdown: either Run (which drains on
-// ctx cancel) or Close directly when driving the Handler themselves.
+// New builds a server and loads the initial snapshot via load. Callers
+// own shutdown: either Run (which drains on ctx cancel) or Close
+// directly when driving the Handler themselves.
 func New(cfg Config, load Loader) (*Server, error) {
 	cfg.fill()
 	reg := cfg.Registry
@@ -141,7 +113,6 @@ func New(cfg Config, load Loader) (*Server, error) {
 		return nil, err
 	}
 	s.install(snap)
-	s.bat = newBatcher(cfg.MaxBatch, cfg.MaxWait, cfg.QueueDepth, s.serveBatch)
 	s.handler = s.buildMux()
 	return s, nil
 }
@@ -151,20 +122,11 @@ func (s *Server) initMetrics() {
 	s.met.httpRequests = r.CounterVec("trail_http_requests_total",
 		"HTTP requests by path and status code.", "path", "code")
 	s.met.attrRequests = r.Counter("trail_attribute_requests_total",
-		"Attribution queries admitted to the batching queue.")
-	s.met.attrBatched = r.Counter("trail_attribute_batched_requests_total",
-		"Attribution queries that shared a batch with at least one other query.")
+		"Well-formed attribution queries received.")
 	s.met.attrErrors = r.CounterVec("trail_attribute_errors_total",
 		"Attribution queries that failed, by error code.", "code")
-	s.met.batches = r.Counter("trail_attribute_batches_total",
-		"Attribution batches executed.")
-	s.met.batchSize = r.Histogram("trail_attribute_batch_size",
-		"Requests coalesced per batch.",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
 	s.met.attrLatency = r.Histogram("trail_attribute_latency_seconds",
-		"End-to-end attribution latency (admission to answer).", metrics.DefBuckets())
-	s.met.inferLatency = r.Histogram("trail_inference_seconds",
-		"Answer-table lookup per batch.", metrics.DefBuckets())
+		"Attribution latency from decoded request to ranked answer.", metrics.DefBuckets())
 	s.met.buildLatency = r.Histogram("trail_snapshot_build_seconds",
 		"Snapshot construction time (input build and the forward pass that fills its answer table).",
 		[]float64{.01, .05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60})
@@ -194,8 +156,8 @@ func (s *Server) initMetrics() {
 }
 
 // install publishes a snapshot: stamps its epoch and install time, then
-// swaps the atomic pointer. In-flight batches keep the snapshot they
-// loaded; new batches see the new one on their next pointer load.
+// swaps the atomic pointer. In-flight requests keep the snapshot they
+// loaded; new requests see the new one.
 func (s *Server) install(snap *Snapshot) {
 	snap.Epoch = s.nextEpoch.Add(1)
 	snap.LoadedAt = time.Now()
@@ -211,7 +173,7 @@ func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
 // Publish installs an externally-built snapshot — the builder-behind-
 // server entry point used by streaming ingest, bypassing the Loader.
-// Epoch assignment and metric stamping match Reload; in-flight batches
+// Epoch assignment and metric stamping match Reload; in-flight requests
 // keep the snapshot they loaded.
 func (s *Server) Publish(snap *Snapshot) {
 	s.reloadMu.Lock()
@@ -224,7 +186,7 @@ func (s *Server) Publish(snap *Snapshot) {
 
 // Reload builds a fresh snapshot from the Loader and installs it.
 // Concurrent reloads serialise; queries are never blocked — they read
-// whichever snapshot is installed when their batch runs. On failure the
+// whichever snapshot is installed when they arrive. On failure the
 // old snapshot keeps serving and the error is returned.
 func (s *Server) Reload() (*Snapshot, error) {
 	s.reloadMu.Lock()
@@ -242,55 +204,14 @@ func (s *Server) Reload() (*Snapshot, error) {
 	return snap, nil
 }
 
-// Close stops the batch worker after draining admitted requests. Call
-// after the HTTP listener has stopped accepting (Run does this).
-func (s *Server) Close() { s.bat.close() }
+// Close marks the server closed: later /v1/attribute requests get 503
+// shutting_down. Call after the HTTP listener has stopped accepting (Run
+// does this); requests already in a handler finish on their snapshot.
+func (s *Server) Close() { s.closed.Store(true) }
 
 // Registry exposes the server's metrics registry (for tests and
 // embedding).
 func (s *Server) Registry() *metrics.Registry { return s.reg }
-
-// serveBatch answers one coalesced batch. The snapshot pointer is
-// loaded exactly once, so every request in the batch — resolution,
-// answer rows and reported epoch — sees one consistent state even if a
-// reload lands mid-flight.
-func (s *Server) serveBatch(batch []*pending) {
-	snap := s.snap.Load()
-	live := batch[:0]
-	for _, p := range batch {
-		if p.ctx.Err() != nil {
-			continue // caller already gone
-		}
-		live = append(live, p)
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	// Resolve each key and copy its answer row from the batch snapshot.
-	res := make([]result, len(live))
-	t0 := time.Now()
-	for i, p := range live {
-		id, ok := snap.Lookup(p.kind, p.key)
-		if !ok {
-			res[i] = result{snap: snap, err: errNotFound}
-			continue
-		}
-		probs := make([]float64, snap.Classes())
-		snap.Attribute([]graph.NodeID{id}, [][]float64{probs})
-		res[i] = result{snap: snap, node: id, probs: probs}
-	}
-	s.met.inferLatency.Observe(time.Since(t0).Seconds())
-
-	s.met.batches.Inc()
-	s.met.batchSize.Observe(float64(len(live)))
-	if len(live) > 1 {
-		s.met.attrBatched.Add(uint64(len(live)))
-	}
-	for i, p := range live {
-		p.done <- res[i]
-	}
-}
 
 // --- HTTP surface ---
 
@@ -332,9 +253,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, errorResponse{Error: errorBody{Code: code, Message: msg}})
 }
-
-// errNotFound marks a key that does not resolve in the snapshot graph.
-var errNotFound = errors.New("not found")
 
 func (s *Server) buildMux() http.Handler {
 	mux := http.NewServeMux()
@@ -418,46 +336,40 @@ func (s *Server) handleAttribute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	p := &pending{kind: kind, key: req.Key, ctx: ctx, done: make(chan result, 1)}
-	startAt := time.Now()
 	s.met.attrRequests.Inc()
-	if !s.bat.enqueue(p) {
-		if ctx.Err() != nil {
-			s.met.attrErrors.With("timeout").Inc()
-			writeError(w, http.StatusGatewayTimeout, "timeout", "queue admission timed out")
-		} else {
-			s.met.attrErrors.With("shutting_down").Inc()
-			writeError(w, http.StatusServiceUnavailable, "shutting_down", "server is draining")
-		}
+	if s.closed.Load() {
+		s.met.attrErrors.With("shutting_down").Inc()
+		writeError(w, http.StatusServiceUnavailable, "shutting_down", "server is draining")
 		return
 	}
-	select {
-	case res := <-p.done:
+
+	// One pointer load: the epoch, node and row of this answer all come
+	// from the same snapshot even if a reload lands mid-request.
+	startAt := time.Now()
+	snap := s.snap.Load()
+	id, ok := snap.Lookup(kind, req.Key)
+	if !ok {
 		s.met.attrLatency.Observe(time.Since(startAt).Seconds())
-		if res.err != nil {
-			s.met.attrErrors.With("not_found").Inc()
-			writeError(w, http.StatusNotFound, "not_found",
-				fmt.Sprintf("%s %q not in snapshot epoch %d", req.Kind, req.Key, res.snap.Epoch))
-			return
-		}
-		topK := s.cfg.TopK
-		if req.TopK > 0 {
-			topK = req.TopK
-		}
-		writeJSON(w, http.StatusOK, attributeResponse{
-			Kind:        req.Kind,
-			Key:         req.Key,
-			NodeID:      int64(res.node),
-			Epoch:       res.snap.Epoch,
-			Precision:   res.snap.Precision,
-			Predictions: rankPredictions(res.snap.Names, res.probs, topK),
-		})
-	case <-ctx.Done():
-		s.met.attrErrors.With("timeout").Inc()
-		writeError(w, http.StatusGatewayTimeout, "timeout", "attribution timed out")
+		s.met.attrErrors.With("not_found").Inc()
+		writeError(w, http.StatusNotFound, "not_found",
+			fmt.Sprintf("%s %q not in snapshot epoch %d", req.Kind, req.Key, snap.Epoch))
+		return
 	}
+	topK := s.cfg.TopK
+	if req.TopK > 0 {
+		topK = req.TopK
+	}
+	row := snap.table[int(id)*snap.classes : (int(id)+1)*snap.classes]
+	resp := attributeResponse{
+		Kind:        req.Kind,
+		Key:         req.Key,
+		NodeID:      int64(id),
+		Epoch:       snap.Epoch,
+		Precision:   snap.Precision,
+		Predictions: rankPredictions(snap.Names, row, topK),
+	}
+	s.met.attrLatency.Observe(time.Since(startAt).Seconds())
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // rankPredictions sorts classes by descending probability (index order
@@ -467,7 +379,15 @@ func rankPredictions(names []string, probs []float64, k int) []prediction {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return probs[idx[a]] > probs[idx[b]] })
+	slices.SortStableFunc(idx, func(a, b int) int {
+		switch {
+		case probs[a] > probs[b]:
+			return -1
+		case probs[a] < probs[b]:
+			return 1
+		}
+		return 0
+	})
 	if k > 0 && k < len(idx) {
 		idx = idx[:k]
 	}
@@ -490,7 +410,6 @@ type statsResponse struct {
 	LabeledEvents  int            `json:"labeled_events"`
 	Classes        int            `json:"classes"`
 	Requests       uint64         `json:"requests_total"`
-	Batches        uint64         `json:"batches_total"`
 	Reloads        uint64         `json:"reloads_total"`
 	Extra          map[string]any `json:"extra,omitempty"`
 }
@@ -517,7 +436,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LabeledEvents:  snap.NumLabeled,
 		Classes:        snap.Classes(),
 		Requests:       s.met.attrRequests.Value(),
-		Batches:        s.met.batches.Value(),
 		Reloads:        s.met.reloads.Value(),
 		Extra:          extra,
 	})
@@ -582,8 +500,8 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Run serves on addr until ctx is cancelled, then drains: the listener
-// stops accepting, in-flight handlers finish (bounded by DrainTimeout),
-// and finally the batch worker drains its queue and exits.
+// stops accepting and in-flight handlers finish (bounded by
+// DrainTimeout), then the server is closed.
 func (s *Server) Run(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

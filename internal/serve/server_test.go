@@ -49,7 +49,7 @@ func postAttribute(t *testing.T, url string, body any) (*http.Response, []byte) 
 }
 
 // directAnswer computes the reference probability row for one key
-// straight from a snapshot, bypassing HTTP and batching.
+// straight from a snapshot, bypassing HTTP.
 func directAnswer(t *testing.T, snap *Snapshot, key string) []float64 {
 	t.Helper()
 	id, ok := snap.Lookup(graph.KindEvent, key)
@@ -63,7 +63,7 @@ func directAnswer(t *testing.T, snap *Snapshot, key string) []float64 {
 
 func TestServerAttributeRoundTrip(t *testing.T) {
 	f := fixture(t)
-	srv, ts := newTestServer(t, Config{MaxWait: time.Millisecond}, f.loader())
+	srv, ts := newTestServer(t, Config{}, f.loader())
 
 	snap := srv.Snapshot()
 	if snap.Epoch != 1 || snap.Precision != "float64" {
@@ -118,7 +118,7 @@ func TestServerAttributeRoundTrip(t *testing.T) {
 
 func TestServerAttributeErrors(t *testing.T) {
 	f := fixture(t)
-	_, ts := newTestServer(t, Config{MaxWait: time.Millisecond, MaxBody: 256}, f.loader())
+	_, ts := newTestServer(t, Config{MaxBody: 256}, f.loader())
 
 	get, err := http.Get(ts.URL + "/v1/attribute")
 	if err != nil {
@@ -161,27 +161,9 @@ func TestServerAttributeErrors(t *testing.T) {
 	}
 }
 
-// TestConfigFillMaxWait: a zero MaxWait selects the 2ms default, a
-// negative one survives fill to reach the batcher's no-wait path, and a
-// positive one is kept.
-func TestConfigFillMaxWait(t *testing.T) {
-	for _, tc := range []struct{ in, want time.Duration }{
-		{0, 2 * time.Millisecond},
-		{-1, -1},
-		{-time.Second, -time.Second},
-		{5 * time.Millisecond, 5 * time.Millisecond},
-	} {
-		c := Config{MaxWait: tc.in}
-		c.fill()
-		if c.MaxWait != tc.want {
-			t.Errorf("fill(MaxWait %v) = %v, want %v", tc.in, c.MaxWait, tc.want)
-		}
-	}
-}
-
 func TestServerStatsSampleHealthMetrics(t *testing.T) {
 	f := fixture(t)
-	srv, ts := newTestServer(t, Config{MaxWait: time.Millisecond}, f.loader())
+	srv, ts := newTestServer(t, Config{}, f.loader())
 
 	var health map[string]string
 	getJSON(t, ts.URL+"/healthz", &health)
@@ -230,7 +212,6 @@ func TestServerStatsSampleHealthMetrics(t *testing.T) {
 		"trail_http_requests_total{",
 		"trail_snapshot_epoch 1",
 		"trail_attribute_requests_total 1",
-		"trail_attribute_batches_total 1",
 		"trail_attribute_latency_seconds_count 1",
 		"trail_snapshot_build_seconds_count 1",
 	} {
@@ -256,12 +237,12 @@ func getJSON(t *testing.T, url string, out any) {
 	}
 }
 
-// TestServerBatchedMatchesSequential is the coalescing equivalence gate:
-// concurrent requests that share forward passes answer bit-identically
-// to one-at-a-time reference inference on the same snapshot.
-func TestServerBatchedMatchesSequential(t *testing.T) {
+// TestServerConcurrentMatchesSequential: 32 concurrent clients, each on
+// its own handler goroutine, answer bit-identically to one-at-a-time
+// reads of the same snapshot's table.
+func TestServerConcurrentMatchesSequential(t *testing.T) {
 	f := fixture(t)
-	srv, ts := newTestServer(t, Config{MaxBatch: 32, MaxWait: 20 * time.Millisecond}, f.loader())
+	srv, ts := newTestServer(t, Config{}, f.loader())
 
 	snap := srv.Snapshot()
 	keys := snap.SampleKeys(graph.KindEvent, 32)
@@ -302,7 +283,7 @@ func TestServerBatchedMatchesSequential(t *testing.T) {
 			}
 			for c, apt := range snap.Names {
 				if got[apt] != want[key][c] {
-					errs <- fmt.Errorf("%s class %s: batched %v != sequential %v",
+					errs <- fmt.Errorf("%s class %s: concurrent %v != sequential %v",
 						key, apt, got[apt], want[key][c])
 					return
 				}
@@ -314,12 +295,26 @@ func TestServerBatchedMatchesSequential(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
 
-	if got := srv.met.attrBatched.Value(); got == 0 {
-		t.Error("no request shared a batch despite 32 concurrent clients and 20ms max-wait")
+// TestServerAttributeAfterClose: once Close has run, /v1/attribute
+// refuses with 503 shutting_down.
+func TestServerAttributeAfterClose(t *testing.T) {
+	f := fixture(t)
+	srv, ts := newTestServer(t, Config{}, f.loader())
+	key := srv.Snapshot().SampleKeys(graph.KindEvent, 1)[0]
+	if resp, body := postAttribute(t, ts.URL, map[string]any{"kind": "event", "key": key}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("before Close: status %d: %s", resp.StatusCode, body)
 	}
-	if batches := srv.met.batches.Value(); batches >= uint64(len(keys)) {
-		t.Errorf("%d batches for %d requests — no coalescing happened", batches, len(keys))
+
+	srv.Close()
+	resp, body := postAttribute(t, ts.URL, map[string]any{"kind": "event", "key": key})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("after Close: status %d: %s", resp.StatusCode, body)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(body, &er); err != nil || er.Error.Code != "shutting_down" {
+		t.Fatalf("after Close: body %s (%v), want code shutting_down", body, err)
 	}
 }
 
@@ -330,7 +325,7 @@ func TestServerBatchedMatchesSequential(t *testing.T) {
 // two precisions.
 func TestServerReloadHammer(t *testing.T) {
 	f := fixture(t)
-	srv, ts := newTestServer(t, Config{MaxBatch: 16, MaxWait: time.Millisecond}, f.alternatingLoader())
+	srv, ts := newTestServer(t, Config{}, f.alternatingLoader())
 
 	keys := srv.Snapshot().SampleKeys(graph.KindEvent, 8)
 	classes := srv.Snapshot().Classes()
@@ -438,7 +433,7 @@ func TestServerReloadHammer(t *testing.T) {
 // its context is cancelled, finishes in-flight work, and returns.
 func TestServerRunGracefulDrain(t *testing.T) {
 	f := fixture(t)
-	srv, err := New(Config{MaxWait: time.Millisecond, Logf: t.Logf}, f.loader())
+	srv, err := New(Config{Logf: t.Logf}, f.loader())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +470,7 @@ func TestServerReloadEndpointAndFailure(t *testing.T) {
 		}
 		return f.loader()()
 	}
-	srv, ts := newTestServer(t, Config{MaxWait: time.Millisecond}, loader)
+	srv, ts := newTestServer(t, Config{}, loader)
 
 	// First reload fails: the old snapshot must keep serving.
 	resp, err := http.Post(ts.URL+"/v1/reload", "application/json", nil)
@@ -517,7 +512,7 @@ func TestServerReloadEndpointAndFailure(t *testing.T) {
 // snapshot with a fresh epoch — the streaming-ingest publish path.
 func TestServerSnapshotAgeAndPublish(t *testing.T) {
 	f := fixture(t)
-	srv, ts := newTestServer(t, Config{MaxWait: time.Millisecond}, f.loader())
+	srv, ts := newTestServer(t, Config{}, f.loader())
 
 	var stats statsResponse
 	getJSON(t, ts.URL+"/v1/stats", &stats)
@@ -559,7 +554,7 @@ func TestServerSnapshotAgeAndPublish(t *testing.T) {
 // recover to 200 after a reload installs a fresh snapshot.
 func TestHealthzStaleness(t *testing.T) {
 	f := fixture(t)
-	srv, ts := newTestServer(t, Config{StaleAfter: 60 * time.Millisecond, MaxWait: time.Millisecond}, f.loader())
+	srv, ts := newTestServer(t, Config{StaleAfter: 60 * time.Millisecond}, f.loader())
 
 	var health map[string]string
 	getJSON(t, ts.URL+"/healthz", &health)
@@ -598,7 +593,7 @@ func TestHealthzStaleness(t *testing.T) {
 // always-ok behaviour no matter the snapshot age.
 func TestHealthzNoThresholdAlways200(t *testing.T) {
 	f := fixture(t)
-	_, ts := newTestServer(t, Config{MaxWait: time.Millisecond}, f.loader())
+	_, ts := newTestServer(t, Config{}, f.loader())
 	time.Sleep(30 * time.Millisecond)
 	var health map[string]string
 	getJSON(t, ts.URL+"/healthz", &health)

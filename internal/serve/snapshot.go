@@ -13,14 +13,13 @@
 //
 //   - Materialised answers: the model is transductive, so one forward
 //     pass (gnn.PredictProbaInto over every node) scores the whole graph
-//     at once. NewSnapshot runs it and keeps the softmax rows; answering
-//     a query is a row copy. Concurrent requests still coalesce in a
-//     batching queue, which now only amortises the per-batch snapshot
-//     load and resolution, not inference.
+//     at once. NewSnapshot runs it and keeps the softmax rows; each
+//     request is answered on its own handler goroutine by reading one
+//     row of that table.
 //
-//   - Operational hardening: graceful drain on shutdown, per-request
-//     timeouts, request-size limits, structured JSON errors, and
-//     Prometheus-text metrics from internal/metrics.
+//   - Operational hardening: graceful drain on shutdown, request-size
+//     limits, structured JSON errors, and Prometheus-text metrics from
+//     internal/metrics.
 package serve
 
 import (
@@ -161,8 +160,8 @@ func (s *Snapshot) SampleKeys(kind graph.NodeKind, limit int) []string {
 }
 
 // Attribute copies each query's row of the answer table into out, which
-// must have one len==Classes() row per query. It is the entry the
-// batching queue, tests and benchmarks share; it never runs the model.
+// must have one len==Classes() row per query. Tests and benchmarks read
+// answers through it; it never runs the model.
 func (s *Snapshot) Attribute(queries []graph.NodeID, out [][]float64) {
 	for i, q := range queries {
 		copy(out[i], s.table[int(q)*s.classes:(int(q)+1)*s.classes])
