@@ -7,10 +7,14 @@ import (
 	"trail/internal/graph"
 )
 
-// Clone returns a deep copy of the TKG sharing the same enrichment
-// services and extractor. The longitudinal experiments use clones to
-// merge future months into the graph without disturbing the base TKG the
-// other experiments read.
+// Clone returns a copy of the TKG sharing the same enrichment services.
+// The graph, the event-membership bookkeeping and the build report are
+// deep-copied; the feature vectors are shared, read-only: a TKG replaces
+// a node's vector (featurize, RepairDegraded), it never writes into one.
+// The clone serialises to the same bytes as t (WriteTo). The longitudinal
+// experiments use clones to merge future months into the graph without
+// disturbing the base TKG the other experiments read; streaming ingest
+// publishes and hands out its state through them.
 func (t *TKG) Clone() (*TKG, error) {
 	var buf bytes.Buffer
 	if _, err := t.G.WriteTo(&buf); err != nil {
@@ -22,7 +26,7 @@ func (t *TKG) Clone() (*TKG, error) {
 	}
 	features := make(map[graph.NodeID][]float64, len(t.Features))
 	for id, v := range t.Features {
-		features[id] = v // vectors are never mutated after extraction
+		features[id] = v
 	}
 	eventAPTs := make(map[graph.NodeID]map[apt.ID]bool, len(t.eventAPTs))
 	for id, set := range t.eventAPTs {

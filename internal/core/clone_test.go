@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"trail/internal/graph"
@@ -45,6 +46,33 @@ func TestCloneIsDeepForGraph(t *testing.T) {
 	}
 	if cp.G.NumNodes() <= origNodes {
 		t.Fatal("clone did not grow")
+	}
+}
+
+// TestCloneWritesSameBytes: a clone serialises to exactly the original's
+// bytes, so streaming ingest can hand out state copies through Clone
+// instead of a serialise→decode round trip, and it shares every feature
+// vector instead of copying it.
+func TestCloneWritesSameBytes(t *testing.T) {
+	tkg, _ := buildTestTKG(t)
+	cp, err := tkg.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if _, err := tkg.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cp.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("clone writes %d bytes that differ from the original's %d", got.Len(), want.Len())
+	}
+	for id, v := range tkg.Features {
+		if w := cp.Features[id]; len(w) != len(v) || len(v) > 0 && &w[0] != &v[0] {
+			t.Fatalf("node %d: clone does not share the feature vector", id)
+		}
 	}
 }
 

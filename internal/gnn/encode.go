@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"sync/atomic"
 
 	"trail/internal/graph"
 	"trail/internal/mat"
@@ -22,6 +23,10 @@ type EncoderSetOf[T mat.Float] struct {
 	Config  AEConfig
 	AEs     map[graph.NodeKind]*AutoencoderOf[T]
 	Scalers map[graph.NodeKind]*ml.StandardScaler
+
+	// memo is the last EncodeGraph generation (see EncodeGraph). It is
+	// process-local: GobEncode never writes it.
+	memo atomic.Pointer[encodeMemo[T]]
 }
 
 // EncoderSet is the float64 reference instantiation of EncoderSetOf.
@@ -133,30 +138,93 @@ func (s *EncoderSetOf[T]) addKinds(g *graph.Graph, feats map[graph.NodeID][]floa
 	return nil
 }
 
+// encodeMemo is one generation of EncodeGraph output: the code matrix
+// that call returned and, per node ID, the key of the feature vector its
+// row was encoded from (the zero key for a row left at zero). It is
+// never written after it is published.
+type encodeMemo[T mat.Float] struct {
+	codes *mat.Dense[T]
+	keys  []rowKey
+}
+
+// rowKey identifies the input of one encoded row: the feature vector by
+// identity (the address of its first element and its length) and the
+// node kind whose scaler and autoencoder encoded it. The pointer keeps
+// the vector alive, so no other vector can reuse its address while the
+// key exists.
+type rowKey struct {
+	vec  *float64
+	n    int32
+	kind graph.NodeKind
+}
+
+// encodeChunk is the number of rows EncodeGraph scales and encodes per
+// autoencoder call.
+const encodeChunk = 1024
+
 // EncodeGraph produces the SAGE input matrix: one encoded row per node
 // (zero rows for events, ASNs and unfeaturised IOCs).
+//
+// The set remembers the codes of its last call. A node whose feature
+// vector is the same slice as in that call (same node ID, same first
+// element address, same length, same kind) copies its previous code;
+// only new or replaced vectors are scaled and encoded. This is exact:
+// scaling and the autoencoder are row-local, so a row's code does not
+// depend on which other rows share its batch. It relies on two
+// contracts: feature vectors are never written after they are stored
+// (a TKG replaces a vector, it never edits one), and the returned
+// matrix is read-only, since the next call reads rows from it. The
+// encoders themselves (AEs, Scalers, Config) are frozen once a set
+// encodes. Concurrent calls are safe; the last to finish sets the
+// generation the next call reuses.
 func (s *EncoderSetOf[T]) EncodeGraph(g *graph.Graph, feats map[graph.NodeID][]float64) *mat.Dense[T] {
-	enc := mat.NewOf[T](g.NumNodes(), s.Config.Encoding)
-	// Batch per kind for cache-friendly encoding.
-	for kind, ae := range s.AEs {
-		var ids []graph.NodeID
-		var rows [][]float64
-		g.ForEachNode(func(n graph.Node) {
-			if n.Kind == kind {
-				if v, ok := feats[n.ID]; ok {
-					ids = append(ids, n.ID)
-					rows = append(rows, v)
-				}
-			}
-		})
-		if len(ids) == 0 {
-			continue
+	n := g.NumNodes()
+	enc := mat.NewOf[T](n, s.Config.Encoding)
+	keys := make([]rowKey, n)
+	prev := s.memo.Load()
+	// Rows to encode, batched per kind in node-ID order.
+	type batch struct {
+		ids  []graph.NodeID
+		rows [][]float64
+	}
+	miss := make(map[graph.NodeKind]*batch, len(s.AEs))
+	g.ForEachNode(func(nd graph.Node) {
+		if _, ok := s.AEs[nd.Kind]; !ok {
+			return
 		}
-		codes := ae.Encode(mat.Cast[T](s.Scalers[kind].Transform(mat.FromRows(rows))))
-		for i, id := range ids {
-			copy(enc.Row(int(id)), codes.Row(i))
+		v, ok := feats[nd.ID]
+		if !ok {
+			return
+		}
+		i := int(nd.ID)
+		keys[i] = rowKey{vec: &v[0], n: int32(len(v)), kind: nd.Kind}
+		if prev != nil && i < len(prev.keys) && prev.keys[i] == keys[i] {
+			copy(enc.Row(i), prev.codes.Row(i))
+			return
+		}
+		b := miss[nd.Kind]
+		if b == nil {
+			b = &batch{}
+			miss[nd.Kind] = b
+		}
+		b.ids = append(b.ids, nd.ID)
+		b.rows = append(b.rows, v)
+	})
+	// Encode in chunks of encodeChunk rows. Rows are independent, so the
+	// chunking changes no bits. It bounds the scaled copies and hidden
+	// activations to one chunk's: for a whole kind at the bench world
+	// they come to a few hundred MB, which would set the peak RSS.
+	for kind, b := range miss {
+		ae, sc := s.AEs[kind], s.Scalers[kind]
+		for lo := 0; lo < len(b.ids); lo += encodeChunk {
+			hi := min(lo+encodeChunk, len(b.ids))
+			codes := ae.Encode(mat.Cast[T](sc.Transform(mat.FromRows(b.rows[lo:hi]))))
+			for i, id := range b.ids[lo:hi] {
+				copy(enc.Row(int(id)), codes.Row(i))
+			}
 		}
 	}
+	s.memo.Store(&encodeMemo[T]{codes: enc, keys: keys})
 	return enc
 }
 

@@ -24,7 +24,9 @@ type InputOf[T mat.Float] struct {
 	CSR *sparse.CSR[T]
 	// Enc holds the autoencoded IOC features, one row per node
 	// (zero rows for events and ASNs, which carry no engineered
-	// features).
+	// features). It is read-only: BuildInput's matrix is also the
+	// encoder set's memo, which the set's next EncodeGraph reads rows
+	// from.
 	Enc *mat.Dense[T]
 	// IsEvent marks event nodes.
 	IsEvent []bool

@@ -133,10 +133,13 @@ type Config struct {
 	RepairInterval time.Duration
 	RepairBatch    int
 
-	// Publish, when set, receives a deep, immutable copy of the TKG and
-	// its watermark after every cut. Called from a dedicated goroutine;
-	// a slow consumer only skips intermediate snapshots (latest wins),
-	// never delays checkpoints.
+	// Publish, when set, receives a copy of the TKG and its watermark
+	// after every cut (core.TKG.Clone). The graph and the bookkeeping are
+	// deep-copied, so the consumer may mutate them freely; the feature
+	// vectors are shared with the live TKG and are read-only (the
+	// pipeline replaces a vector on repair, it never writes into one).
+	// Called from a dedicated goroutine; a slow consumer only skips
+	// intermediate snapshots (latest wins), never delays checkpoints.
 	Publish func(tkg *core.TKG, watermark uint64)
 
 	// Metrics, when set, receives the trail_ingest_* instruments;
@@ -551,7 +554,8 @@ func (p *Pipeline) Cut(ctx context.Context) error {
 	return p.control(ctx, item{barrier: make(chan struct{}), cut: true})
 }
 
-// State returns a deep, immutable copy of the current TKG and its
+// State returns a copy of the current TKG (core.TKG.Clone: deep graph,
+// shared read-only feature vectors, as for Config.Publish) and its
 // applied sequence number — the hook embedding servers use to build
 // their first snapshot before any publish has happened.
 func (p *Pipeline) State(ctx context.Context) (*core.TKG, uint64, error) {
@@ -652,7 +656,7 @@ func (p *Pipeline) handle(it item) {
 			p.cut()
 		}
 		if it.copyTo != nil {
-			tkg, err := p.cloneTKG()
+			tkg, err := p.tkg.Clone()
 			it.copyTo <- stateCopy{tkg: tkg, watermark: p.nextSeq - 1, err: err}
 		}
 		close(it.barrier)
@@ -705,16 +709,6 @@ func (p *Pipeline) propagate() {
 	p.met.dirtyFrontier.Set(float64(p.lp.LastFrontier))
 }
 
-// cloneTKG deep-copies the current TKG through its own serialisation,
-// reattaching the pipeline's enrichment stack.
-func (p *Pipeline) cloneTKG() (*core.TKG, error) {
-	var buf bytes.Buffer
-	if _, err := p.tkg.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return core.ReadTKGFallible(&buf, p.cfg.Services, p.cfg.Resolver)
-}
-
 // cut makes everything applied so far durable and observable: WAL sync,
 // atomic state checkpoint embedding the watermark, advisory watermark
 // record, then a snapshot hand-off to the publisher (latest wins).
@@ -760,14 +754,18 @@ func (p *Pipeline) cut() {
 	if p.cfg.Publish == nil {
 		return
 	}
-	// The graph snapshot format is order-faithful (its replay order
-	// rebuilds every adjacency row entry-for-entry), so the clone's
-	// adjacency is bit-for-bit the live graph's — and row order itself is
-	// crash-schedule independent, because recovery replays the WAL in
-	// sequence order over a checkpoint that preserved it. That makes the
-	// live graph's spliced CSR emission directly adoptable: the published
-	// snapshot chain starts from it instead of re-packing the whole graph.
-	clone, err := core.ReadTKGFallible(bytes.NewReader(tkgBuf.Bytes()), p.cfg.Services, p.cfg.Resolver)
+	// The clone shares the live TKG's feature vectors (which are replaced,
+	// never written, once stored), so a publish decodes none of them, and
+	// an encoder set that memoises codes by vector identity re-encodes
+	// only the rows that changed. The graph snapshot format is
+	// order-faithful (its replay order rebuilds every adjacency row
+	// entry-for-entry), so the clone's adjacency is bit-for-bit the live
+	// graph's — and row order itself is crash-schedule independent,
+	// because recovery replays the WAL in sequence order over a
+	// checkpoint that preserved it. That makes the live graph's spliced
+	// CSR emission directly adoptable: the published snapshot chain
+	// starts from it instead of re-packing the whole graph.
+	clone, err := p.tkg.Clone()
 	if err != nil {
 		p.cfg.Logf("ingest: snapshot clone: %v", err)
 		return

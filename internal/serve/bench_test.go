@@ -2,11 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"trail/internal/core"
+	"trail/internal/gnn"
 	"trail/internal/graph"
 )
 
@@ -55,15 +58,90 @@ func BenchmarkServeAttributeSingle32(b *testing.B) {
 }
 
 // BenchmarkServeSnapshotBuild times NewSnapshot at the serving default
-// precision (float32): input build plus the one full-graph forward pass
-// that fills the answer table — the cost every reload and ingest publish
-// pays.
+// precision (float32) with a freshly loaded encoder set: every row
+// encoded, then the one full-graph forward pass that fills the answer
+// table — the cost of a reload. BenchmarkSnapshotRepublish times the
+// warm path an ingest publish takes.
 func BenchmarkServeSnapshotBuild(b *testing.B) {
 	f := fixture(b)
+	g, feats := f.ectx.TKG.G, f.ectx.TKG.Features
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.snapshot32(b)
+		b.StopTimer()
+		enc := freshEncoders(b, f.enc)
+		b.StartTimer()
+		if _, err := NewSnapshot(g, feats, f.ectx.Names, enc, f.m32); err != nil {
+			b.Fatal(err)
+		}
 	}
+}
+
+// BenchmarkSnapshotRepublish times NewSnapshot (float32) over two
+// consecutive published clones through one encoder set, the way an
+// ingest daemon republishes. "first" is the snapshot a freshly loaded set
+// builds, encoding every row; "later" is the snapshot of the next clone
+// after the set built the previous one, encoding only the rows of the
+// pulses applied in between.
+func BenchmarkSnapshotRepublish(b *testing.B) {
+	f := fixture(b)
+	prev, next := consecutiveClones(b, f, 3)
+	build := func(b *testing.B, t *core.TKG, enc *gnn.EncoderSet) {
+		if _, err := NewSnapshot(t.G, t.Features, f.ectx.Names, enc, f.m32); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("first", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			enc := freshEncoders(b, f.enc)
+			b.StartTimer()
+			build(b, next, enc)
+		}
+	})
+	b.Run("later", func(b *testing.B) {
+		enc := freshEncoders(b, f.enc)
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			build(b, prev, enc)
+			b.StartTimer()
+			build(b, next, enc)
+		}
+	})
+}
+
+// consecutiveClones returns two clones of the fixture TKG, the second
+// taken after the given number of held-out pulses were applied to it:
+// the snapshots an ingest pipeline publishes at two consecutive cuts.
+func consecutiveClones(b *testing.B, f *fixtureData, pulses int) (prev, next *core.TKG) {
+	live, err := f.ectx.TKG.Clone()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if prev, err = live.Clone(); err != nil {
+		b.Fatal(err)
+	}
+	later := f.ectx.World.PulsesInMonths(f.ectx.TrainMonths, f.ectx.Opts.World.Months)
+	for _, p := range later[:min(pulses, len(later))] {
+		live.ApplyPulse(context.Background(), p)
+	}
+	if next, err = live.Clone(); err != nil {
+		b.Fatal(err)
+	}
+	return prev, next
+}
+
+// freshEncoders returns a copy of enc with no memoised codes, as if
+// loaded from its checkpoint.
+func freshEncoders(b *testing.B, enc *gnn.EncoderSet) *gnn.EncoderSet {
+	raw, err := enc.GobEncode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := &gnn.EncoderSet{}
+	if err := out.GobDecode(raw); err != nil {
+		b.Fatal(err)
+	}
+	return out
 }
 
 // BenchmarkServeAttributeHTTP drives one /v1/attribute request per

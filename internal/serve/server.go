@@ -125,8 +125,11 @@ func (s *Server) initMetrics() {
 		"Well-formed attribution queries received.")
 	s.met.attrErrors = r.CounterVec("trail_attribute_errors_total",
 		"Attribution queries that failed, by error code.", "code")
+	// An answer is one table-row read, ~10 µs: the ladder starts in
+	// microseconds so the buckets resolve it.
 	s.met.attrLatency = r.Histogram("trail_attribute_latency_seconds",
-		"Attribution latency from decoded request to ranked answer.", metrics.DefBuckets())
+		"Attribution latency from decoded request to ranked answer.",
+		[]float64{5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1})
 	s.met.buildLatency = r.Histogram("trail_snapshot_build_seconds",
 		"Snapshot construction time (input build and the forward pass that fills its answer table).",
 		[]float64{.01, .05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60})

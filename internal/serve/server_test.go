@@ -221,6 +221,51 @@ func TestServerStatsSampleHealthMetrics(t *testing.T) {
 	}
 }
 
+// TestAttributeLatencyBucketsResolveMicroseconds: an inline answer takes
+// microseconds, so /metrics must place fast requests in a latency bucket
+// below 0.5 ms instead of lumping every observation into one bucket.
+func TestAttributeLatencyBucketsResolveMicroseconds(t *testing.T) {
+	f := fixture(t)
+	_, ts := newTestServer(t, Config{}, f.loader())
+	key := f.ectx.TKG.G.Node(f.ectx.TKG.EventNodes()[0]).Key
+	const requests = 20
+	for i := 0; i < requests; i++ {
+		if resp, body := postAttribute(t, ts.URL, map[string]any{"kind": "event", "key": key}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("attribute status %d: %s", resp.StatusCode, body)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	// Buckets are cumulative: the count of the largest bound under
+	// 0.5 ms is every request answered faster than that bound.
+	var below uint64
+	bound := 0.0
+	for _, line := range strings.Split(string(body), "\n") {
+		rest, ok := strings.CutPrefix(line, `trail_attribute_latency_seconds_bucket{le="`)
+		if !ok || strings.HasPrefix(rest, "+Inf") {
+			continue
+		}
+		var le float64
+		var n uint64
+		if _, err := fmt.Sscanf(strings.Replace(rest, `"} `, " ", 1), "%g %d", &le, &n); err != nil {
+			t.Fatalf("bucket line %q: %v", line, err)
+		}
+		if le < 0.0005 && le > bound {
+			bound, below = le, n
+		}
+	}
+	if bound == 0 {
+		t.Fatalf("trail_attribute_latency_seconds has no bucket below 0.5 ms:\n%s", body)
+	}
+	if below == 0 {
+		t.Fatalf("none of %d requests landed at or below %g s:\n%s", requests, bound, body)
+	}
+}
+
 func getJSON(t *testing.T, url string, out any) {
 	t.Helper()
 	resp, err := http.Get(url)
